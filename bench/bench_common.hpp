@@ -29,7 +29,6 @@
 #include "protocols/lesk.hpp"
 #include "protocols/lesu.hpp"
 #include "sim/montecarlo.hpp"
-#include "support/ctr_rng.hpp"
 #include "support/thread_pool.hpp"
 #include "support/wide_rng.hpp"
 
@@ -136,10 +135,6 @@ inline int bench_main(int argc, char** argv) {
   // orchestration cases' numbers only mean anything relative to this.
   benchmark::AddCustomContext("jamelect_threads",
                               std::to_string(global_pool().size() + 1));
-  // Which AES implementation (aesni/soft) serves rng_backend=aes_ctr
-  // cases in this process (cpuid + JAMELECT_FORCE_SOFT_AES).
-  benchmark::AddCustomContext("jamelect_rng_backend_aes",
-                              aes_isa_name(active_aes_isa()));
 
   obs::MetricsRegistry::global().set_enabled(true);
 
@@ -166,7 +161,6 @@ inline int bench_main(int argc, char** argv) {
     manifest.config["wide_isa"] = wide_isa_name(active_wide_isa());
     manifest.config["threads_effective"] =
         std::to_string(global_pool().size() + 1);
-    manifest.config["rng_backend_aes"] = aes_isa_name(active_aes_isa());
     manifest.config["trials"] = std::to_string(trials());
     if (const char* threads = std::getenv("JAMELECT_THREADS")) {
       manifest.config["threads"] = threads;

@@ -165,16 +165,11 @@ void Perf_CohortEngineTelemetry(benchmark::State& state) {
 // workload; parallel is off so the ratio is single-core engine speed,
 // not thread-pool scheduling.
 [[nodiscard]] McResult lesk_mc(std::uint64_t n, std::size_t batch,
-                               std::size_t n_trials,
-                               BatchLaneMode lanes = BatchLaneMode::kAuto,
-                               bool parallel = false,
-                               RngBackend rng = RngBackend::kXoshiro) {
+                               std::size_t n_trials, bool parallel = false) {
   AdversarySpec spec = adversary("saturating", 64, 0.5);
   McConfig config = mc(/*seed=*/23, /*max_slots=*/kSlots, n_trials);
   config.parallel = parallel;
   config.batch = batch;
-  config.batch_lanes = lanes;
-  config.rng_backend = rng;
   return run_aggregate_mc(lesk_factory(0.5), spec, n, config);
 }
 
@@ -183,31 +178,15 @@ void Perf_CohortEngineTelemetry(benchmark::State& state) {
       res.slots.mean * static_cast<double>(res.slots.count) + 0.5);
 }
 
-// Pinned to the scalar lane path so the series stays comparable with
-// the pre-wide baseline (kAuto would silently go SIMD-wide here).
-void Perf_BatchEngine(benchmark::State& state) {
-  const auto n = static_cast<std::uint64_t>(1) << state.range(0);
-  std::int64_t slots = 0;
-  for (auto _ : state) {
-    const McResult res = lesk_mc(n, /*batch=*/64, /*n_trials=*/64,
-                                 BatchLaneMode::kScalarLanes);
-    slots += total_slots(res);
-    benchmark::DoNotOptimize(res.successes);
-  }
-  state.SetItemsProcessed(slots);
-  state.counters["n"] = static_cast<double>(n);
-  state.counters["batch"] = 64;
-}
-
-// Identical workload with the SIMD-wide lane path: items/sec over
-// Perf_BatchEngine is the wide speedup (the backend — avx2/scalar4 —
-// is recorded in the benchmark context as jamelect_wide_isa).
+// The batched workload on the SIMD-wide lane path: items/sec over
+// Perf_SequentialMcBaseline (the same trials, sequentially) is
+// the batch speedup (the backend — avx2/scalar4 — is recorded in the
+// benchmark context as jamelect_wide_isa).
 void Perf_WideBatchEngine(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(1) << state.range(0);
   std::int64_t slots = 0;
   for (auto _ : state) {
-    const McResult res =
-        lesk_mc(n, /*batch=*/64, /*n_trials=*/64, BatchLaneMode::kWide);
+    const McResult res = lesk_mc(n, /*batch=*/64, /*n_trials=*/64);
     slots += total_slots(res);
     benchmark::DoNotOptimize(res.successes);
   }
@@ -228,7 +207,7 @@ void Perf_ParallelWideBatchEngine(benchmark::State& state) {
   std::int64_t slots = 0;
   for (auto _ : state) {
     const McResult res = lesk_mc(n, /*batch=*/64, /*n_trials=*/512,
-                                 BatchLaneMode::kWide, /*parallel=*/true);
+                                 /*parallel=*/true);
     slots += total_slots(res);
     benchmark::DoNotOptimize(res.successes);
   }
@@ -239,43 +218,20 @@ void Perf_ParallelWideBatchEngine(benchmark::State& state) {
       static_cast<double>(global_pool().size() + 1);
 }
 
-// The wide-batch workload on the counter-keyed AES backend
-// (rng_backend=aes_ctr; implementation — aesni/soft — is stamped as
-// jamelect_rng_backend_aes). Different draws than the xoshiro series,
-// same per-slot work shape; items/sec against Perf_WideBatchEngine is
-// the cipher cost of O(1)-addressable streams.
-void Perf_AesCtrWideBatchEngine(benchmark::State& state) {
-  const auto n = static_cast<std::uint64_t>(1) << state.range(0);
-  std::int64_t slots = 0;
-  for (auto _ : state) {
-    const McResult res =
-        lesk_mc(n, /*batch=*/64, /*n_trials=*/64, BatchLaneMode::kWide,
-                /*parallel=*/false, RngBackend::kAesCtr);
-    slots += total_slots(res);
-    benchmark::DoNotOptimize(res.successes);
-  }
-  state.SetItemsProcessed(slots);
-  state.counters["n"] = static_cast<double>(n);
-  state.counters["batch"] = 64;
-}
-
 // Adaptive-adversary Monte-Carlo: collision_forcer keeps per-lane state
 // (budget recurrence, tracked public estimate, jam desires), which used
 // to disqualify the wide path entirely — the whole sweep ran
 // sequentially. The lane-variant adversary bank (sim/lane_adversary.hpp)
-// now runs it wide; the three benches below are the sequential
-// baseline, the scalar-lane batch path, and the wide path on the same
-// trials (bit-identical per trial, so items/sec divides into a true
-// speedup).
+// now runs it wide; the two benches below are the sequential baseline
+// and the wide path on the same trials (bit-identical per trial, so
+// items/sec divides into a true speedup).
 [[nodiscard]] McResult adaptive_mc(std::uint64_t n, std::size_t batch,
-                                   std::size_t n_trials,
-                                   BatchLaneMode lanes) {
+                                   std::size_t n_trials) {
   AdversarySpec spec = adversary("collision_forcer", 64, 0.5);
   spec.collision_threshold = 0.6;
   McConfig config = mc(/*seed=*/29, /*max_slots=*/kSlots, n_trials);
   config.parallel = false;
   config.batch = batch;
-  config.batch_lanes = lanes;
   return run_aggregate_mc(lesk_factory(0.5), spec, n, config);
 }
 
@@ -283,35 +239,19 @@ void Perf_AdaptiveSequentialMcBaseline(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(1) << state.range(0);
   std::int64_t slots = 0;
   for (auto _ : state) {
-    const McResult res =
-        adaptive_mc(n, /*batch=*/0, /*n_trials=*/64, BatchLaneMode::kAuto);
+    const McResult res = adaptive_mc(n, /*batch=*/0, /*n_trials=*/64);
     slots += total_slots(res);
     benchmark::DoNotOptimize(res.successes);
   }
   state.SetItemsProcessed(slots);
   state.counters["n"] = static_cast<double>(n);
-}
-
-void Perf_AdaptiveScalarBatchEngine(benchmark::State& state) {
-  const auto n = static_cast<std::uint64_t>(1) << state.range(0);
-  std::int64_t slots = 0;
-  for (auto _ : state) {
-    const McResult res = adaptive_mc(n, /*batch=*/64, /*n_trials=*/64,
-                                     BatchLaneMode::kScalarLanes);
-    slots += total_slots(res);
-    benchmark::DoNotOptimize(res.successes);
-  }
-  state.SetItemsProcessed(slots);
-  state.counters["n"] = static_cast<double>(n);
-  state.counters["batch"] = 64;
 }
 
 void Perf_AdaptiveWideBatchEngine(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(1) << state.range(0);
   std::int64_t slots = 0;
   for (auto _ : state) {
-    const McResult res = adaptive_mc(n, /*batch=*/64, /*n_trials=*/64,
-                                     BatchLaneMode::kWide);
+    const McResult res = adaptive_mc(n, /*batch=*/64, /*n_trials=*/64);
     slots += total_slots(res);
     benchmark::DoNotOptimize(res.successes);
   }
@@ -467,16 +407,13 @@ BENCHMARK(Perf_CohortEngine)->Arg(4)->Arg(10)->Arg(20)->Unit(benchmark::kMillise
 BENCHMARK(Perf_CohortEngineSmall)->Arg(4)->Arg(8)->Arg(10)->Unit(benchmark::kMillisecond);
 BENCHMARK(Perf_CohortEngineTelemetry)->Arg(4)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
 BENCHMARK(Perf_HybridEngine)->Arg(4)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
-BENCHMARK(Perf_BatchEngine)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
 BENCHMARK(Perf_WideBatchEngine)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
 BENCHMARK(Perf_ParallelWideBatchEngine)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
-BENCHMARK(Perf_AesCtrWideBatchEngine)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
 BENCHMARK(Perf_SequentialMcBaseline)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
 BENCHMARK(Perf_CohortSequentialMcBaseline)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
 BENCHMARK(Perf_CohortBatchEngine)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
 BENCHMARK(Perf_CohortBatchEngineSmall)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
 BENCHMARK(Perf_AdaptiveSequentialMcBaseline)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
-BENCHMARK(Perf_AdaptiveScalarBatchEngine)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
 BENCHMARK(Perf_AdaptiveWideBatchEngine)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
 BENCHMARK(Perf_BaselineSequentialMcBaseline)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
 BENCHMARK(Perf_BaselineKernelBatchEngine)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);

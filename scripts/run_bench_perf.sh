@@ -33,7 +33,7 @@ fi
 # backend (the binary also stamps jamelect_wide_isa into the JSON).
 if [ -r /proc/cpuinfo ]; then
   CPU_FEATURES="$(grep -m1 '^flags' /proc/cpuinfo \
-    | tr ' ' '\n' | grep -E '^(aes|avx|avx2|avx512[a-z]*|sse4_[12]|fma)$' \
+    | tr ' ' '\n' | grep -E '^(avx|avx2|avx512[a-z]*|sse4_[12]|fma)$' \
     | tr '\n' ' ' || true)"
   echo "cpu simd features: ${CPU_FEATURES:-none detected}"
 fi
@@ -52,14 +52,10 @@ if ! grep -q '"jamelect_wide_isa"' "$OUT_FILE"; then
   echo "error: $OUT_FILE does not record jamelect_wide_isa" >&2
   exit 1
 fi
-# The parallel-orchestration and ctr-rng cases are only interpretable
-# with the fan-out width and the AES implementation on record.
+# The parallel-orchestration cases are only interpretable with the
+# fan-out width on record.
 if ! grep -q '"jamelect_threads"' "$OUT_FILE"; then
   echo "error: $OUT_FILE does not record jamelect_threads" >&2
-  exit 1
-fi
-if ! grep -q '"jamelect_rng_backend_aes"' "$OUT_FILE"; then
-  echo "error: $OUT_FILE does not record jamelect_rng_backend_aes" >&2
   exit 1
 fi
 echo "results in $OUT_FILE"
@@ -90,7 +86,6 @@ entry = {
     "build_type": ctx.get("jamelect_build_type", ""),
     "wide_isa": ctx.get("jamelect_wide_isa", ""),
     "threads": ctx.get("jamelect_threads", ""),
-    "aes": ctx.get("jamelect_rng_backend_aes", ""),
     "benchmarks": {
         b["name"]: round(b.get("items_per_second", 0.0))
         for b in doc.get("benchmarks", [])

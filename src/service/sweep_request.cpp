@@ -70,12 +70,10 @@ std::optional<SweepRequest> SweepRequest::from_json(const Json& params,
     } else if (key == "batch" && want_number()) {
       if (value.as_int() < 0) return fail("batch must be >= 0");
       req.batch = static_cast<std::size_t>(value.as_int());
-    } else if (key == "rng" && want_string()) {
-      req.rng = value.as_string();
     } else if (is_one_of(key, {"protocol", "engine", "adversary", "n", "eps",
                                "u", "c", "T", "q", "period", "burst", "on",
-                               "off", "trials", "seed", "max_slots", "batch",
-                               "rng"})) {
+                               "off", "trials", "seed", "max_slots",
+                               "batch"})) {
       return fail("field '" + key + "' has the wrong type");
     } else {
       // Unknown fields are rejected, not ignored: an ignored field
@@ -122,10 +120,6 @@ bool SweepRequest::validate(const SweepLimits& limits,
     return fail("max_slots out of range (1.." +
                 std::to_string(limits.max_slots) + ")");
   }
-  if (!is_one_of(rng, {"xoshiro", "aes_ctr"})) {
-    return fail("unknown rng backend '" + rng +
-                "' (expected xoshiro|aes_ctr)");
-  }
   return true;
 }
 
@@ -151,11 +145,9 @@ std::map<std::string, std::string> SweepRequest::config_map() const {
   config["trials"] = std::to_string(trials);
   config["seed"] = std::to_string(seed);
   config["max_slots"] = std::to_string(max_slots);
-  // Deliberately NOT keyed: `batch` (and lane mode) are pure throughput
-  // knobs with bit-identical outcomes (McConfig::batch), so requests
-  // differing only in batch size share one cache entry. `rng` IS keyed:
-  // the backends are different result universes.
-  config["rng"] = rng;
+  // Deliberately NOT keyed: `batch` is a pure throughput knob with
+  // bit-identical outcomes (McConfig::batch), so requests differing
+  // only in batch size share one cache entry.
   config["git_sha"] = obs::kGitSha;
   return config;
 }
@@ -184,7 +176,6 @@ Json SweepRequest::to_json() const {
   out.set("seed", seed);
   out.set("max_slots", max_slots);
   out.set("batch", static_cast<std::uint64_t>(batch));
-  out.set("rng", rng);
   return out;
 }
 

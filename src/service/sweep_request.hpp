@@ -48,11 +48,6 @@ struct SweepRequest {
   std::uint64_t seed = 1;
   std::int64_t max_slots = 100'000;
   std::size_t batch = 64;  ///< SoA lanes per work item; 0 = sequential
-  /// Random-stream backend: "xoshiro" (default) or "aes_ctr"
-  /// (counter-keyed streams; sim/batch.hpp RngBackend). The two
-  /// backends are distinct result universes, so — unlike batch — this
-  /// field IS part of the cache key.
-  std::string rng = "xoshiro";
 
   /// Parses the `params` object of a sweep request. Returns nullopt and
   /// an explanation on malformed shape, unknown field, or a value

@@ -75,8 +75,6 @@ McResult run_sweep(const SweepRequest& request, const RunnerConfig& runner,
   mc.max_slots = request.max_slots;
   mc.parallel = runner.mc_parallel;
   mc.batch = request.batch;
-  mc.rng_backend = request.rng == "aes_ctr" ? RngBackend::kAesCtr
-                                            : RngBackend::kXoshiro;
   mc.keep_outcomes = false;
   mc.recorder = runner.recorder;
   mc.trace = trace;

@@ -4,7 +4,6 @@
 #include <memory>
 #include <optional>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "baselines/baseline_kernels.hpp"
@@ -15,7 +14,6 @@
 #include "protocols/kernels.hpp"
 #include "sim/batch_wide.hpp"
 #include "sim/lane_adversary.hpp"
-#include "support/ctr_rng.hpp"
 #include "support/expects.hpp"
 #include "support/math.hpp"
 #include "support/slot_prob_cache.hpp"
@@ -53,12 +51,6 @@ struct KernelFor<NoCdElectionParams> {
   using type = kernels::NoCdKernel;
 };
 
-[[nodiscard]] std::uint64_t category(double r, const SlotProbCache::Entry& e) {
-  if (r < e.c_null) return 0;
-  if (r < e.c_single) return 1;
-  return 2;
-}
-
 void record_state(TrialOutcome& o, ChannelState state) {
   switch (state) {
     case ChannelState::kNull: ++o.nulls; break;
@@ -70,12 +62,10 @@ void record_state(TrialOutcome& o, ChannelState state) {
 /// Policies whose jam schedule is a deterministic function of (slot,
 /// own budget) alone — no rng draws, no observe() feedback — produce
 /// the identical bit sequence in every lane, so one adversary instance
-/// can serve the whole chunk with a single step() per slot. The
-/// adaptive built-ins (bernoulli, single_denial, collision_forcer)
-/// stay per-lane but still run wide through LaneAdversaryBank; every
-/// built-in policy therefore has a wide engine, and scalar lanes
-/// remain reachable only by explicit request (kScalarLanes) or for
-/// out-of-tree policies routed through the sequential fallback.
+/// can serve the whole chunk with a single step() per slot. Every
+/// other built-in policy (bernoulli, single_denial, collision_forcer)
+/// is adaptive and runs on per-lane state in a LaneAdversaryBank;
+/// make_adversary rejects any name outside these two sets.
 [[nodiscard]] bool lane_invariant_policy(const AdversarySpec& spec) {
   return spec.policy == "none" || spec.policy == "saturating" ||
          spec.policy == "periodic" || spec.policy == "pulse" ||
@@ -167,109 +157,6 @@ class BatchWorkspace {
   return workspace;
 }
 
-/// Strong-CD aggregate lanes: the SoA mirror of run_aggregate
-/// (sim/aggregate.cpp), one uniform() per slot + one below(n) on
-/// election per lane, additions in the same per-lane order.
-///
-/// `make_rng(trial)` builds the simulation-draw generator for an
-/// absolute trial index: Rng (xoshiro child chains) or AesCtrRng
-/// (counter streams) — both expose the identical uniform / bernoulli /
-/// below façade, so the engine body is backend-agnostic.
-template <class Kernel, class MakeRng>
-void aggregate_lanes(const typename Kernel::Params& params,
-                     const AdversarySpec& spec, const BatchConfig& config,
-                     const Rng& base, std::size_t first, std::size_t count,
-                     TrialOutcome* out, const MakeRng& make_rng) {
-  JAMELECT_EXPECTS(config.n >= 1);
-  JAMELECT_EXPECTS(config.max_slots >= 1);
-  using LaneRng = std::decay_t<decltype(make_rng(std::size_t{0}))>;
-  const std::uint64_t n = config.n;
-  const double nd = static_cast<double>(n);
-  BatchWorkspace& workspace = local_batch_workspace();
-  SlotProbCache& cache = workspace.cache(n);
-
-  std::vector<Kernel> kernels(count, Kernel(params));
-  std::vector<LaneRng> rngs;
-  rngs.reserve(count);
-  // Deterministic policies share one adversary across all lanes (its rng
-  // child stream exists but is never drawn from, so lane 0's seed is as
-  // good as any); adaptive policies get one instance per lane.
-  const bool shared_adv = lane_invariant_policy(spec);
-  std::unique_ptr<BoundedAdversary> adv_shared;
-  std::vector<std::unique_ptr<BoundedAdversary>> advs;
-  if (shared_adv) {
-    adv_shared = make_adversary(spec, base.child(first).child(0xad50));
-  } else {
-    advs.resize(count);
-  }
-  std::vector<std::uint32_t> lane_trial(count);
-  std::vector<TrialOutcome> acc(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    if (!shared_adv) {
-      advs[k] = make_adversary(spec, base.child(first + k).child(0xad50));
-    }
-    rngs.push_back(make_rng(first + k));
-    lane_trial[k] = static_cast<std::uint32_t>(k);
-  }
-
-  std::size_t active = count;
-  std::int64_t slots_total = 0;
-  // Scalar path: the per-lane slot body fuses RNG draw, classification,
-  // cache lookup, and kernel step — too hot to time individually, so the
-  // whole loop is attributed to `classify` (the wide engines break the
-  // phases out; this path exists for lane-variant adversaries).
-  obs::PhaseAccumulator prof;
-  prof.start();
-  for (Slot slot = 0; slot < config.max_slots && active > 0; ++slot) {
-    slots_total += static_cast<std::int64_t>(active);
-    const bool jam_all = shared_adv && adv_shared->step();
-    for (std::size_t lane = 0; lane < active;) {
-      Kernel& kern = kernels[lane];
-      const SlotProbCache::Entry& e = cache.lookup(kern.broadcast_u());
-      const bool jammed = shared_adv ? jam_all : advs[lane]->step();
-      const std::uint64_t cnt = category(rngs[lane].uniform(), e);
-      const ChannelState state = resolve_slot(cnt, jammed);
-
-      TrialOutcome& o = acc[lane];
-      ++o.slots;
-      o.transmissions += nd * e.p;
-      if (jammed) ++o.jams;
-      record_state(o, state);
-
-      kern.step(state);
-      if (!shared_adv) advs[lane]->observe({slot, cnt, jammed, state});
-
-      if (kern.done()) {
-        JAMELECT_ENSURES(state == ChannelState::kSingle);
-        o.elected = true;
-        o.all_done = true;
-        o.unique_leader = true;
-        o.leader = rngs[lane].below(n);
-        out[lane_trial[lane]] = o;
-        --active;
-        if (lane != active) {
-          kernels[lane] = kernels[active];
-          rngs[lane] = rngs[active];
-          if (!shared_adv) advs[lane] = std::move(advs[active]);
-          lane_trial[lane] = lane_trial[active];
-          acc[lane] = acc[active];
-        }
-      } else {
-        ++lane;
-      }
-    }
-  }
-  prof.stop(obs::Phase::kClassify);
-  // Right-censored lanes: budget exhausted without election.
-  for (std::size_t lane = 0; lane < active; ++lane) {
-    out[lane_trial[lane]] = acc[lane];
-  }
-  JAMELECT_OBS_COUNT("engine.batch.aggregate_chunks", 1);
-  JAMELECT_OBS_COUNT("engine.batch.slots", slots_total);
-  JAMELECT_OBS_COUNT("mc.batch_scalar_slots", slots_total);
-  workspace.emit_cache_counters();
-}
-
 /// A kernel slot that may be unoccupied — the batch mirror of the
 /// UniformProtocolPtr null/reset dance in run_hybrid_notification.
 template <class Kernel>
@@ -278,239 +165,20 @@ struct MaybeKernel {
   bool valid = false;
 };
 
-/// The P1..P4 phase machine of run_hybrid_notification, shared by the
-/// scalar and wide hybrid lane engines.
+/// The P1..P4 phase machine of run_hybrid_notification.
 enum class HybridPhase : std::uint8_t { kP1, kP2, kP3, kP4, kDone };
 
-/// Weak-CD hybrid Notification lanes: the SoA mirror of
-/// run_hybrid_notification (sim/hybrid.cpp). classify_slot is shared
-/// across lanes (lockstep keeps every active lane at the same slot);
-/// each lane runs the P1..P4 phase machine with kernels standing in
-/// for the shared/l/s protocol instances.
-template <class Kernel, class MakeRng>
-void hybrid_lanes(const typename Kernel::Params& params,
-                  const AdversarySpec& spec, const BatchConfig& config,
-                  const Rng& base, std::size_t first, std::size_t count,
-                  TrialOutcome* out, const MakeRng& make_rng) {
-  JAMELECT_EXPECTS(config.n >= 3);
-  JAMELECT_EXPECTS(config.max_slots >= 1);
-  using LaneRng = std::decay_t<decltype(make_rng(std::size_t{0}))>;
-  const std::uint64_t n = config.n;
-  const double nd = static_cast<double>(n);
-  const double nm1d = static_cast<double>(n - 1);
-  BatchWorkspace& workspace = local_batch_workspace();
-  SlotProbCache& cache_n = workspace.cache(n);
-  SlotProbCache& cache_nm1 = workspace.cache(n - 1);
-
-  std::vector<HybridPhase> phases(count, HybridPhase::kP1);
-  std::vector<MaybeKernel<Kernel>> shared(count, {Kernel(params), false});
-  std::vector<MaybeKernel<Kernel>> l_a(count, {Kernel(params), false});
-  std::vector<MaybeKernel<Kernel>> s_a(count, {Kernel(params), false});
-  std::vector<LaneRng> rngs;
-  rngs.reserve(count);
-  const bool shared_adv = lane_invariant_policy(spec);
-  std::unique_ptr<BoundedAdversary> adv_shared;
-  std::vector<std::unique_ptr<BoundedAdversary>> advs;
-  if (shared_adv) {
-    adv_shared = make_adversary(spec, base.child(first).child(0xad50));
-  } else {
-    advs.resize(count);
-  }
-  std::vector<std::uint32_t> lane_trial(count);
-  std::vector<TrialOutcome> acc(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    if (!shared_adv) {
-      advs[k] = make_adversary(spec, base.child(first + k).child(0xad50));
-    }
-    rngs.push_back(make_rng(first + k));
-    lane_trial[k] = static_cast<std::uint32_t>(k);
-  }
-
-  std::size_t active = count;
-  std::int64_t slots_total = 0;
-  // Scalar path: coarse attribution — the whole phase-machine loop runs
-  // as `classify` (see aggregate_lanes; the wide engines split phases).
-  obs::PhaseAccumulator prof;
-  prof.start();
-  for (Slot slot = 0; slot < config.max_slots && active > 0; ++slot) {
-    const IntervalPosition pos = classify_slot(slot);
-    slots_total += static_cast<std::int64_t>(active);
-    const bool jam_all = shared_adv && adv_shared->step();
-    for (std::size_t lane = 0; lane < active;) {
-      const HybridPhase phase = phases[lane];
-      LaneRng& rng = rngs[lane];
-      const bool jammed = shared_adv ? jam_all : advs[lane]->step();
-
-      std::uint64_t cnt = 0;
-      double expected_tx = 0.0;
-
-      if (pos.set != IntervalSet::kPadding) {
-        switch (phase) {
-          case HybridPhase::kP1:
-            if (pos.set == IntervalSet::kC1) {
-              if (pos.interval_start() || !shared[lane].valid) {
-                shared[lane] = {Kernel(params), true};
-              }
-              const SlotProbCache::Entry& e =
-                  cache_n.lookup(shared[lane].kernel.broadcast_u());
-              expected_tx = nd * e.p;
-              cnt = category(rng.uniform(), e);
-            }
-            break;
-          case HybridPhase::kP2:
-            if (pos.set == IntervalSet::kC1) {
-              if (pos.interval_start() || !l_a[lane].valid) {
-                l_a[lane] = {Kernel(params), true};
-              }
-              const double p =
-                  transmit_probability(l_a[lane].kernel.broadcast_u());
-              expected_tx = p;
-              cnt = rng.bernoulli(p) ? 1 : 0;
-            } else if (pos.set == IntervalSet::kC2) {
-              if (pos.interval_start() || !shared[lane].valid) {
-                shared[lane] = {Kernel(params), true};
-              }
-              const SlotProbCache::Entry& e =
-                  cache_nm1.lookup(shared[lane].kernel.broadcast_u());
-              expected_tx = nm1d * e.p;
-              cnt = category(rng.uniform(), e);
-            }
-            break;
-          case HybridPhase::kP3:
-            if (pos.set == IntervalSet::kC1) {
-              cnt = n - 2;  // all of R confirms; n >= 3 so cnt >= 1
-              expected_tx = static_cast<double>(n - 2);
-            } else if (pos.set == IntervalSet::kC2) {
-              if (pos.interval_start() || !s_a[lane].valid) {
-                s_a[lane] = {Kernel(params), true};
-              }
-              const double p =
-                  transmit_probability(s_a[lane].kernel.broadcast_u());
-              expected_tx = p;
-              cnt = rng.bernoulli(p) ? 1 : 0;
-            } else {  // C3: l announces
-              cnt = 1;
-              expected_tx = 1.0;
-            }
-            break;
-          case HybridPhase::kP4:
-            if (pos.set == IntervalSet::kC3) {
-              cnt = 1;  // l keeps announcing until released
-              expected_tx = 1.0;
-            }
-            break;
-          case HybridPhase::kDone:
-            break;
-        }
-      }
-
-      const ChannelState state = resolve_slot(cnt, jammed);
-
-      TrialOutcome& o = acc[lane];
-      ++o.slots;
-      o.transmissions += expected_tx;
-      if (jammed) ++o.jams;
-      record_state(o, state);
-      if (!shared_adv) advs[lane]->observe({slot, cnt, jammed, state});
-
-      if (pos.set != IntervalSet::kPadding) {
-        switch (phase) {
-          case HybridPhase::kP1:
-            if (pos.set == IntervalSet::kC1) {
-              if (state == ChannelState::kSingle) {
-                l_a[lane] = {shared[lane].kernel, true};
-                l_a[lane].kernel.step(ChannelState::kCollision);
-                shared[lane].valid = false;
-                phases[lane] = HybridPhase::kP2;
-              } else {
-                shared[lane].kernel.step(state);
-              }
-            }
-            break;
-          case HybridPhase::kP2:
-            if (pos.set == IntervalSet::kC1) {
-              if (l_a[lane].valid) {
-                l_a[lane].kernel.step(cnt >= 1 ? ChannelState::kCollision
-                                               : state);
-              }
-            } else if (pos.set == IntervalSet::kC2) {
-              if (state == ChannelState::kSingle) {
-                s_a[lane] = {shared[lane].kernel, true};
-                s_a[lane].kernel.step(ChannelState::kCollision);
-                shared[lane].valid = false;
-                l_a[lane].valid = false;
-                phases[lane] = HybridPhase::kP3;
-              } else if (shared[lane].valid) {
-                shared[lane].kernel.step(state);
-              }
-            }
-            break;
-          case HybridPhase::kP3:
-            if (pos.set == IntervalSet::kC2) {
-              if (s_a[lane].valid) {
-                s_a[lane].kernel.step(cnt >= 1 ? ChannelState::kCollision
-                                               : state);
-              }
-            } else if (pos.set == IntervalSet::kC3) {
-              if (state == ChannelState::kSingle) {
-                s_a[lane].valid = false;
-                phases[lane] = HybridPhase::kP4;
-              }
-            }
-            break;
-          case HybridPhase::kP4:
-            if (pos.set == IntervalSet::kC1 &&
-                state == ChannelState::kNull) {
-              phases[lane] = HybridPhase::kDone;
-            }
-            break;
-          case HybridPhase::kDone:
-            break;
-        }
-      }
-
-      if (phases[lane] == HybridPhase::kDone) {
-        o.elected = true;
-        o.all_done = true;
-        o.unique_leader = true;
-        o.leader = rng.below(n);
-        out[lane_trial[lane]] = o;
-        --active;
-        if (lane != active) {
-          phases[lane] = phases[active];
-          shared[lane] = shared[active];
-          l_a[lane] = l_a[active];
-          s_a[lane] = s_a[active];
-          rngs[lane] = rngs[active];
-          if (!shared_adv) advs[lane] = std::move(advs[active]);
-          lane_trial[lane] = lane_trial[active];
-          acc[lane] = acc[active];
-        }
-      } else {
-        ++lane;
-      }
-    }
-  }
-  prof.stop(obs::Phase::kClassify);
-  for (std::size_t lane = 0; lane < active; ++lane) {
-    out[lane_trial[lane]] = acc[lane];
-  }
-  JAMELECT_OBS_COUNT("engine.batch.hybrid_chunks", 1);
-  JAMELECT_OBS_COUNT("engine.batch.slots", slots_total);
-  JAMELECT_OBS_COUNT("mc.batch_scalar_slots", slots_total);
-  workspace.emit_cache_counters();
-}
-
-/// SIMD-wide strong-CD aggregate lanes: same per-lane draw sequence
-/// and double arithmetic as aggregate_lanes, but every slot advances
-/// all lanes through one fused primitive (sim/batch_wide.hpp) — a
-/// vector xoshiro step, branch-free classification against cached
-/// thresholds, and masked accumulator updates. Requires a
-/// lane-invariant adversary (one shared jam bit per slot). Retirement
-/// is a post-sweep compaction pass instead of the scalar mid-loop
-/// swap-remove; the two are equivalent because lanes are mutually
-/// independent within a slot (the only shared state, the adversary,
-/// steps once per slot either way).
+/// SIMD-wide strong-CD aggregate lanes: the SoA mirror of
+/// run_aggregate (sim/aggregate.cpp) — one uniform() per slot and one
+/// below(n) on election per lane, in the same per-lane order — with
+/// every slot advancing all lanes through one fused primitive
+/// (sim/batch_wide.hpp): a vector xoshiro step, branch-free
+/// classification against cached thresholds, and masked accumulator
+/// updates. Requires a lane-invariant adversary (one shared jam bit per
+/// slot). Finished lanes retire in a post-sweep compaction pass; lanes
+/// are mutually independent within a slot (the only shared state, the
+/// adversary, steps once per slot), so retirement order cannot change
+/// a result.
 ///
 /// Per-lane nulls/singles/transmissions live in SoA accumulators;
 /// slots and jams are chunk-shared scalars (lockstep + shared jam bit
@@ -564,7 +232,7 @@ void aggregate_lanes_wide(const typename Kernel::Params& params,
 
   auto adv = make_adversary(spec, base.child(first).child(0xad50));
   for (std::size_t k = 0; k < count; ++k) {
-    // Lane k's sim stream: the exact seed derivation of the scalar
+    // Lane k's sim stream: the exact seed derivation of the sequential
     // path — base.child(first + k).child(0x51e0).
     rng.seed_lane(k, base.child(first + k).child(0x51e0).seed());
     lane_trial[k] = static_cast<std::uint32_t>(k);
@@ -627,7 +295,7 @@ void aggregate_lanes_wide(const typename Kernel::Params& params,
 
     if (jammed) {
       // Every lane sees Collision regardless of its draw: advance the
-      // streams (the scalar path draws and discards), accumulate
+      // streams (the sequential engine draws and discards), accumulate
       // expected transmissions, fold the Collision into the kernels.
       // No lane can retire, so no compaction pass.
       ++jams_done;
@@ -721,229 +389,20 @@ void aggregate_lanes_wide(const typename Kernel::Params& params,
   workspace.emit_cache_counters();
 }
 
-/// SIMD-wide strong-CD aggregate lanes on the AES-CTR backend: the
-/// same orchestration as aggregate_lanes_wide, with the fused xoshiro
-/// slot primitives replaced by a batched counter advance
-/// (WideAesCtr::uniform_groups) plus portable classify/accumulate
-/// loops, and jammed slots reduced to pure counter increments
-/// (skip_groups) — a discarded CTR draw needs no cipher work. Lane k
-/// is stream `first + k` from counter 0, so results are chunk- and
-/// thread-invariant by construction and bit-identical to the scalar
-/// AesCtrRng path (same draws, same arithmetic, same order).
-template <class Kernel>
-void aggregate_lanes_wide_ctr(const typename Kernel::Params& params,
-                              const AdversarySpec& spec,
-                              const BatchConfig& config, const Rng& base,
-                              std::size_t first, std::size_t count,
-                              TrialOutcome* out) {
-  JAMELECT_EXPECTS(config.n >= 1);
-  JAMELECT_EXPECTS(config.max_slots >= 1);
-  JAMELECT_EXPECTS(lane_invariant_policy(spec));
-  constexpr bool kIsUniform = std::is_same_v<Kernel, kernels::UniformKernel>;
-  constexpr bool kIsLesk = std::is_same_v<Kernel, kernels::LeskKernel>;
-  constexpr bool kIsGeneric = !kIsUniform && !kIsLesk;
-
-  const std::uint64_t n = config.n;
-  BatchWorkspace& workspace = local_batch_workspace();
-  SlotProbCache& cache = workspace.cache(n);
-  double lesk_inc = 0.0;
-  if constexpr (kIsLesk) {
-    lesk_inc = Kernel(params).inc;
-    cache.set_lattice_step(lesk_inc);
-  }
-
-  WideAesCtr rng(make_aes_key(base.seed()), count);
-  const std::size_t padded = rng.padded_lanes();
-
-  std::vector<double> c_null(padded), c_single(padded), exp_tx(padded);
-  std::vector<double> r(padded, 0.0);
-  std::vector<double> transmissions(padded, 0.0);
-  std::vector<std::int64_t> nulls(padded, 0), singles(padded, 0);
-  std::vector<std::int64_t> states(padded, 0);
-  std::vector<std::uint32_t> lane_trial(count);
-  std::vector<double> us;
-  std::vector<Kernel> kerns;
-  if constexpr (!kIsUniform) {
-    us.assign(padded, Kernel(params).broadcast_u());
-  }
-  if constexpr (kIsGeneric) kerns.assign(count, Kernel(params));
-
-  auto adv = make_adversary(spec, base.child(first).child(0xad50));
-  for (std::size_t k = 0; k < count; ++k) {
-    // Lane k's sim stream IS trial first + k: the O(1) counter keying.
-    rng.seed_lane(k, static_cast<std::uint64_t>(first + k));
-    lane_trial[k] = static_cast<std::uint32_t>(k);
-  }
-
-  if constexpr (kIsUniform) {
-    const SlotProbCache::Entry e = cache.lookup(Kernel(params).broadcast_u());
-    std::fill(c_null.begin(), c_null.end(), e.c_null);
-    std::fill(c_single.begin(), c_single.end(), e.c_single);
-    std::fill(exp_tx.begin(), exp_tx.end(), e.exp_tx);
-  } else {
-    cache.lookup_lanes(us.data(), padded, c_null.data(), c_single.data(),
-                       exp_tx.data());
-  }
-
-  std::size_t active = count;
-  std::int64_t slots_done = 0;
-  std::int64_t jams_done = 0;
-  std::int64_t slots_total = 0;
-
-  const auto finalize = [&](std::size_t lane, bool elected) {
-    TrialOutcome o;
-    o.slots = slots_done;
-    o.jams = jams_done;
-    o.nulls = nulls[lane];
-    o.singles = singles[lane];
-    o.collisions = slots_done - nulls[lane] - singles[lane];
-    o.transmissions = transmissions[lane];
-    if (elected) {
-      o.elected = true;
-      o.all_done = true;
-      o.unique_leader = true;
-      o.leader = rng.below_lane(lane, n);
-    }
-    out[lane_trial[lane]] = o;
-  };
-
-  // This path separates the RNG advance from classification (unlike
-  // the fused xoshiro kernels), so `rng` gets its own phase; the
-  // classify/accumulate loop (including its inline LESK u updates) is
-  // `classify`, threshold refreshes are `cache_lookup`, and LESU
-  // stepping / retirement compaction are `lattice_update`.
-  obs::PhaseAccumulator prof;
-
-  for (Slot slot = 0; slot < config.max_slots && active > 0; ++slot) {
-    slots_total += static_cast<std::int64_t>(active);
-    ++slots_done;
-    const std::size_t groups = (active + kWideLanes - 1) / kWideLanes;
-    const std::size_t span = groups * kWideLanes;
-    const bool jammed = adv->step();
-
-    if (jammed) {
-      // Every lane sees Collision regardless of its draw: a CTR draw
-      // that would be discarded is just a counter bump (the scalar
-      // path draws and discards — same stream positions either way).
-      ++jams_done;
-      prof.start();
-      rng.skip_groups(groups);
-      prof.stop(obs::Phase::kRng);
-      for (std::size_t k = 0; k < span; ++k) transmissions[k] += exp_tx[k];
-      if constexpr (kIsLesk) {
-        for (std::size_t k = 0; k < span; ++k) us[k] += lesk_inc;
-        prof.stop(obs::Phase::kLatticeUpdate);
-        cache.lookup_lanes(us.data(), span, c_null.data(), c_single.data(),
-                           exp_tx.data());
-        prof.stop(obs::Phase::kCacheLookup);
-      } else if constexpr (kIsGeneric) {
-        for (std::size_t lane = 0; lane < active; ++lane) {
-          kerns[lane].step(ChannelState::kCollision);
-          us[lane] = kerns[lane].broadcast_u();
-        }
-        prof.stop(obs::Phase::kLatticeUpdate);
-        cache.lookup_lanes(us.data(), span, c_null.data(), c_single.data(),
-                           exp_tx.data());
-        prof.stop(obs::Phase::kCacheLookup);
-      }
-      continue;
-    }
-
-    // Clean slot: one batched counter advance, then a branch-free
-    // classify/accumulate loop (the portable mirror of the fused
-    // xoshiro slot primitives — same thresholds, same arithmetic).
-    prof.start();
-    rng.uniform_groups(groups, r.data());
-    prof.stop(obs::Phase::kRng);
-    bool any_single = false;
-    for (std::size_t k = 0; k < span; ++k) {
-      const double rv = r[k];
-      const bool lt0 = rv < c_null[k];
-      const bool lt1 = rv < c_single[k];
-      states[k] = lt0 ? 0 : (lt1 ? 1 : 2);
-      nulls[k] += lt0 ? 1 : 0;
-      singles[k] += (lt1 && !lt0) ? 1 : 0;
-      transmissions[k] += exp_tx[k];
-      any_single = any_single || (lt1 && !lt0);
-      if constexpr (kIsLesk) {
-        // LeskKernel::step, expression-for-expression: Null decrements
-        // (floored at 0), Collision adds inc, Single leaves u alone.
-        if (lt0) {
-          us[k] = std::max(us[k] - 1.0, 0.0);
-        } else if (!lt1) {
-          us[k] += lesk_inc;
-        }
-      }
-    }
-    prof.stop(obs::Phase::kClassify);
-    if constexpr (kIsGeneric) {
-      for (std::size_t lane = 0; lane < active; ++lane) {
-        kerns[lane].step(static_cast<ChannelState>(states[lane]));
-      }
-      prof.stop(obs::Phase::kLatticeUpdate);
-    }
-
-    if (any_single) {
-      for (std::size_t lane = 0; lane < active;) {
-        if (states[lane] != 1) {
-          ++lane;
-          continue;
-        }
-        finalize(lane, true);
-        --active;
-        if (lane != active) {
-          rng.move_lane(lane, active);
-          transmissions[lane] = transmissions[active];
-          nulls[lane] = nulls[active];
-          singles[lane] = singles[active];
-          states[lane] = states[active];
-          lane_trial[lane] = lane_trial[active];
-          if constexpr (!kIsUniform) us[lane] = us[active];
-          if constexpr (kIsGeneric) kerns[lane] = kerns[active];
-        }
-      }
-      prof.stop(obs::Phase::kLatticeUpdate);
-    }
-
-    if constexpr (!kIsUniform) {
-      if (active > 0) {
-        if constexpr (kIsGeneric) {
-          for (std::size_t lane = 0; lane < active; ++lane) {
-            us[lane] = kerns[lane].broadcast_u();
-          }
-        }
-        const std::size_t g2 = (active + kWideLanes - 1) / kWideLanes;
-        cache.lookup_lanes(us.data(), g2 * kWideLanes, c_null.data(),
-                           c_single.data(), exp_tx.data());
-        prof.stop(obs::Phase::kCacheLookup);
-      }
-    }
-  }
-  for (std::size_t lane = 0; lane < active; ++lane) finalize(lane, false);
-  JAMELECT_OBS_COUNT("engine.batch.aggregate_chunks", 1);
-  JAMELECT_OBS_COUNT("engine.batch.slots", slots_total);
-  JAMELECT_OBS_COUNT("mc.batch_wide_slots", slots_total);
-  workspace.emit_cache_counters();
-}
-
 /// SIMD-wide strong-CD aggregate lanes under an ADAPTIVE (lane-variant)
-/// adversary: the wide twin of aggregate_lanes' per-lane-adversary
-/// branch. The adversary runs as SoA columns in a LaneAdversaryBank —
-/// per-lane budget recurrence, per-lane policy state, per-lane policy
-/// RNG — so bernoulli / single_denial / collision_forcer no longer
-/// force the chunk onto scalar lanes. The simulation draw happens for
-/// EVERY live lane every slot (the scalar path draws and discards under
-/// a jam — with per-lane jam bits there is nothing to skip), then a
-/// portable branch-free loop folds the per-lane jam bit into the
-/// classified state. Generic kernels step scalar off the states, as in
-/// the shared-adversary engines.
+/// adversary. The adversary runs as SoA columns in a LaneAdversaryBank
+/// — per-lane budget recurrence, per-lane policy state, per-lane policy
+/// RNG — for bernoulli / single_denial / collision_forcer. The
+/// simulation draw happens for EVERY live lane every slot (the
+/// sequential engine draws and discards under a jam — with per-lane jam
+/// bits there is nothing to skip), then a portable branch-free loop
+/// folds the per-lane jam bit into the classified state. Generic
+/// kernels step scalar off the states, as in the shared-adversary
+/// engine.
 ///
 /// Per-lane jams live in their own SoA column (the jam bit varies per
-/// lane); slots stay a chunk-shared scalar (lockstep). Templated on the
-/// wide generator exactly like hybrid_lanes_wide: WideXoshiro (lane k
-/// seeded from the child-chain stream) or WideAesCtr (lane k IS counter
-/// stream first + k).
-template <class Kernel, class WideRng>
+/// lane); slots stay a chunk-shared scalar (lockstep).
+template <class Kernel>
 void aggregate_lanes_wide_adaptive(const typename Kernel::Params& params,
                                    const AdversarySpec& spec,
                                    const BatchConfig& config, const Rng& base,
@@ -952,7 +411,6 @@ void aggregate_lanes_wide_adaptive(const typename Kernel::Params& params,
   JAMELECT_EXPECTS(config.n >= 1);
   JAMELECT_EXPECTS(config.max_slots >= 1);
   JAMELECT_EXPECTS(LaneAdversaryBank::supports(spec));
-  constexpr bool kCtr = std::is_same_v<WideRng, WideAesCtr>;
   constexpr bool kIsUniform = std::is_same_v<Kernel, kernels::UniformKernel>;
 
   const std::uint64_t n = config.n;
@@ -962,14 +420,7 @@ void aggregate_lanes_wide_adaptive(const typename Kernel::Params& params,
     cache.set_lattice_step(Kernel(params).inc);
   }
 
-  auto make_wide = [&] {
-    if constexpr (kCtr) {
-      return WideAesCtr(make_aes_key(base.seed()), count);
-    } else {
-      return WideXoshiro(count);
-    }
-  };
-  WideRng rng = make_wide();
+  WideXoshiro rng(count);
   const std::size_t padded = rng.padded_lanes();
 
   std::vector<Kernel> kerns(count, Kernel(params));
@@ -985,11 +436,7 @@ void aggregate_lanes_wide_adaptive(const typename Kernel::Params& params,
 
   LaneAdversaryBank bank(spec, base, first, count);
   for (std::size_t k = 0; k < count; ++k) {
-    if constexpr (kCtr) {
-      rng.seed_lane(k, static_cast<std::uint64_t>(first + k));
-    } else {
-      rng.seed_lane(k, base.child(first + k).child(0x51e0).seed());
-    }
+    rng.seed_lane(k, base.child(first + k).child(0x51e0).seed());
     lane_trial[k] = static_cast<std::uint32_t>(k);
   }
 
@@ -1034,8 +481,8 @@ void aggregate_lanes_wide_adaptive(const typename Kernel::Params& params,
     bank.step(jam.data(), active);
     prof.stop(obs::Phase::kClassify);
 
-    // Every live lane draws every slot — the scalar path's uniform()
-    // happens unconditionally too, jammed or not.
+    // Every live lane draws every slot — the sequential engine's
+    // uniform() happens unconditionally too, jammed or not.
     rng.uniform_groups(groups, r.data());
     prof.stop(obs::Phase::kRng);
 
@@ -1114,24 +561,19 @@ enum class DrawKind : std::uint8_t { kNone = 0, kCategory, kBernoulli };
 /// machine stays scalar (per-slot work varies per lane), but the slot
 /// is split into three passes so the rng advance — the hot, uniform
 /// part — happens wide: pass A records each lane's draw request (the
-/// first switch of hybrid_lanes with draws replaced by requests),
-/// pass B advances every drawing lane in one masked wide step, pass C
-/// consumes the draws and runs the post-state transitions. Lanes make
-/// at most one draw per slot, so per-lane draw order — and hence bit
-/// identity with hybrid_lanes — is preserved exactly.
-///
-/// Templated on the wide generator: WideXoshiro (lane k seeded from
-/// the child-chain stream) or WideAesCtr (lane k IS counter stream
-/// first + k). Both expose the same seed_lane / uniform_masked /
-/// below_lane / move_lane façade, so only construction and seeding
-/// differ.
+/// draws of run_hybrid_notification's slot body, replaced by
+/// requests), pass B advances every drawing lane in one masked wide
+/// step, pass C consumes the draws and runs the post-state transitions.
+/// Lanes make at most one draw per slot, so per-lane draw order — and
+/// hence bit identity with the sequential engine — is preserved
+/// exactly.
 ///
 /// Adversaries come in two flavors: lane-invariant policies share one
 /// jam bit per slot, and the adaptive built-ins run as per-lane SoA
 /// columns in a LaneAdversaryBank (sim/lane_adversary.hpp) — per-lane
 /// jam bits, observed states fed back after every slot (padding
-/// included, matching the scalar engine's per-slot observe()).
-template <class Kernel, class WideRng>
+/// included, matching the sequential engine's per-slot observe()).
+template <class Kernel>
 void hybrid_lanes_wide(const typename Kernel::Params& params,
                        const AdversarySpec& spec, const BatchConfig& config,
                        const Rng& base, std::size_t first, std::size_t count,
@@ -1140,7 +582,6 @@ void hybrid_lanes_wide(const typename Kernel::Params& params,
   JAMELECT_EXPECTS(config.max_slots >= 1);
   JAMELECT_EXPECTS(lane_invariant_policy(spec) ||
                    LaneAdversaryBank::supports(spec));
-  constexpr bool kCtr = std::is_same_v<WideRng, WideAesCtr>;
   const std::uint64_t n = config.n;
   BatchWorkspace& workspace = local_batch_workspace();
   SlotProbCache& cache_n = workspace.cache(n);
@@ -1151,14 +592,7 @@ void hybrid_lanes_wide(const typename Kernel::Params& params,
     cache_nm1.set_lattice_step(inc);
   }
 
-  auto make_wide = [&] {
-    if constexpr (kCtr) {
-      return WideAesCtr(make_aes_key(base.seed()), count);
-    } else {
-      return WideXoshiro(count);
-    }
-  };
-  WideRng rng = make_wide();
+  WideXoshiro rng(count);
   const std::size_t padded = rng.padded_lanes();
 
   std::vector<HybridPhase> phases(count, HybridPhase::kP1);
@@ -1188,11 +622,7 @@ void hybrid_lanes_wide(const typename Kernel::Params& params,
     lane_states.assign(count, 0);
   }
   for (std::size_t k = 0; k < count; ++k) {
-    if constexpr (kCtr) {
-      rng.seed_lane(k, static_cast<std::uint64_t>(first + k));
-    } else {
-      rng.seed_lane(k, base.child(first + k).child(0x51e0).seed());
-    }
+    rng.seed_lane(k, base.child(first + k).child(0x51e0).seed());
     lane_trial[k] = static_cast<std::uint32_t>(k);
   }
 
@@ -1215,7 +645,7 @@ void hybrid_lanes_wide(const typename Kernel::Params& params,
       // jammed Collision) for every lane, and no phase can complete
       // (every transition keys on C1..C3), so no retirement check.
       // Adaptive adversaries still observe the padding slots — the
-      // scalar engine feeds them every slot too.
+      // sequential engine feeds them every slot too.
       prof.start();
       for (std::size_t lane = 0; lane < active; ++lane) {
         const bool jl = shared_adv ? jam_all : jam[lane] != 0;
@@ -1336,7 +766,7 @@ void hybrid_lanes_wide(const typename Kernel::Params& params,
     prof.stop(obs::Phase::kRng);
 
     // Pass C: consume the draws — classification, outcome accounting,
-    // and the post-state transitions of hybrid_lanes.
+    // and the post-state transitions of run_hybrid_notification.
     for (std::size_t lane = 0; lane < active; ++lane) {
       std::uint64_t cnt = fixed_cnt[lane];
       if (draw[lane] == DrawKind::kCategory) {
@@ -1411,8 +841,8 @@ void hybrid_lanes_wide(const typename Kernel::Params& params,
 
     prof.stop(obs::Phase::kClassify);
 
-    // Retirement + compaction after the full sweep (equivalent to the
-    // scalar mid-loop swap-remove; lanes are independent in-slot).
+    // Retirement + compaction after the full sweep (equivalent to
+    // retiring mid-sweep; lanes are independent in-slot).
     // jam/lane_states need no copy: both are rewritten for every live
     // lane at the top of the next slot before any read.
     for (std::size_t lane = 0; lane < active;) {
@@ -1449,64 +879,7 @@ void hybrid_lanes_wide(const typename Kernel::Params& params,
   workspace.emit_cache_counters();
 }
 
-/// Which lane-stepping engine a chunk resolves to once BatchLaneMode
-/// meets the adversary policy.
-enum class LanePath : std::uint8_t {
-  kScalar,        ///< one Rng + one virtual adversary per lane
-  kSharedWide,    ///< SIMD-wide, one shared jam bit (lane-invariant)
-  kAdaptiveWide,  ///< SIMD-wide, per-lane SoA bank (adaptive built-ins)
-};
-
-/// Resolves BatchLaneMode against the adversary policy: kAuto goes
-/// wide whenever the policy has a wide engine — shared jam bit for the
-/// lane-invariant set, LaneAdversaryBank for the adaptive built-ins —
-/// and scalar otherwise; kWide insists (and contract-checks) on one of
-/// the wide engines existing.
-[[nodiscard]] LanePath lane_path(BatchLaneMode mode,
-                                 const AdversarySpec& spec) {
-  switch (mode) {
-    case BatchLaneMode::kAuto:
-      if (lane_invariant_policy(spec)) return LanePath::kSharedWide;
-      if (LaneAdversaryBank::supports(spec)) return LanePath::kAdaptiveWide;
-      return LanePath::kScalar;
-    case BatchLaneMode::kWide:
-      JAMELECT_EXPECTS(lane_invariant_policy(spec) ||
-                       LaneAdversaryBank::supports(spec));
-      return lane_invariant_policy(spec) ? LanePath::kSharedWide
-                                         : LanePath::kAdaptiveWide;
-    case BatchLaneMode::kScalarLanes:
-      return LanePath::kScalar;
-  }
-  return LanePath::kScalar;
-}
-
-/// Simulation-draw factory for the scalar lane engines: trial k's
-/// xoshiro stream, by the exact child-chain derivation of the
-/// sequential path.
-[[nodiscard]] auto xoshiro_make_rng(const Rng& base) {
-  return [&base](std::size_t trial) {
-    return base.child(trial).child(0x51e0);
-  };
-}
-
-/// Same, on the counter backend: trial k IS stream k under the
-/// run-wide key (two SplitMix64 words of the seed, expanded once and
-/// shared by every chunk).
-[[nodiscard]] auto aes_make_rng(const AesKey& key) {
-  return [&key](std::size_t trial) {
-    return AesCtrRng(key, static_cast<std::uint64_t>(trial));
-  };
-}
-
 }  // namespace
-
-const char* rng_backend_name(RngBackend backend) noexcept {
-  switch (backend) {
-    case RngBackend::kXoshiro: return "xoshiro";
-    case RngBackend::kAesCtr: return "aes_ctr";
-  }
-  return "unknown";
-}
 
 std::optional<BatchKernelSpec> batch_kernel_spec(
     const UniformProtocol& prototype) {
@@ -1565,39 +938,14 @@ void run_batch_aggregate_trials(const BatchKernelSpec& spec,
       [&](const auto& params) {
         using Kernel = typename KernelFor<
             std::decay_t<decltype(params)>>::type;
-        const LanePath path = lane_path(config.lanes, adv);
-        if (config.rng == RngBackend::kAesCtr) {
-          switch (path) {
-            case LanePath::kSharedWide:
-              aggregate_lanes_wide_ctr<Kernel>(params, adv, config, base,
-                                               first, count, out);
-              break;
-            case LanePath::kAdaptiveWide:
-              aggregate_lanes_wide_adaptive<Kernel, WideAesCtr>(
-                  params, adv, config, base, first, count, out);
-              break;
-            case LanePath::kScalar: {
-              const AesKey key = make_aes_key(base.seed());
-              aggregate_lanes<Kernel>(params, adv, config, base, first, count,
-                                      out, aes_make_rng(key));
-              break;
-            }
-          }
+        // The policy alone picks the lane engine: a shared jam bit for
+        // the lane-invariant set, a LaneAdversaryBank otherwise.
+        if (lane_invariant_policy(adv)) {
+          aggregate_lanes_wide<Kernel>(params, adv, config, base, first,
+                                       count, out);
         } else {
-          switch (path) {
-            case LanePath::kSharedWide:
-              aggregate_lanes_wide<Kernel>(params, adv, config, base, first,
-                                           count, out);
-              break;
-            case LanePath::kAdaptiveWide:
-              aggregate_lanes_wide_adaptive<Kernel, WideXoshiro>(
-                  params, adv, config, base, first, count, out);
-              break;
-            case LanePath::kScalar:
-              aggregate_lanes<Kernel>(params, adv, config, base, first, count,
-                                      out, xoshiro_make_rng(base));
-              break;
-          }
+          aggregate_lanes_wide_adaptive<Kernel>(params, adv, config, base,
+                                                first, count, out);
         }
       },
       spec);
@@ -1616,25 +964,10 @@ void run_batch_hybrid_trials(const BatchKernelSpec& spec,
       [&](const auto& params) {
         using Kernel = typename KernelFor<
             std::decay_t<decltype(params)>>::type;
-        // hybrid_lanes_wide hosts both wide adversary flavors (shared
-        // jam bit and LaneAdversaryBank) behind one template.
-        const bool wide = lane_path(config.lanes, adv) != LanePath::kScalar;
-        if (config.rng == RngBackend::kAesCtr) {
-          if (wide) {
-            hybrid_lanes_wide<Kernel, WideAesCtr>(params, adv, config, base,
-                                                  first, count, out);
-          } else {
-            const AesKey key = make_aes_key(base.seed());
-            hybrid_lanes<Kernel>(params, adv, config, base, first, count, out,
-                                 aes_make_rng(key));
-          }
-        } else if (wide) {
-          hybrid_lanes_wide<Kernel, WideXoshiro>(params, adv, config, base,
-                                                 first, count, out);
-        } else {
-          hybrid_lanes<Kernel>(params, adv, config, base, first, count, out,
-                               xoshiro_make_rng(base));
-        }
+        // hybrid_lanes_wide hosts both adversary flavors (shared jam
+        // bit and LaneAdversaryBank) behind one template.
+        hybrid_lanes_wide<Kernel>(params, adv, config, base, first, count,
+                                  out);
       },
       spec);
 }

@@ -5,11 +5,13 @@
 // transmit_probability()/observe() dispatch plus a fresh log1p + 2*exp
 // chain in slot_probabilities. This engine removes both costs for the
 // kernelizable protocols (protocols/kernels.hpp): a chunk of B trials
-// advances in lockstep over parallel state arrays — one POD kernel, one
-// inline Xoshiro256** Rng and one adversary per lane — and all lanes in
-// a chunk share one SlotProbCache (support/slot_prob_cache.hpp), so a
-// slot costs a hash lookup, one uniform() draw and an inlined kernel
-// step. Finished lanes are swap-removed, keeping the inner loop dense.
+// advances in lockstep over parallel state arrays — one POD kernel and
+// one xoshiro256** stream per lane, stepped kWideLanes at a time
+// (support/wide_rng.hpp + sim/batch_wide.hpp) — and all lanes in a chunk
+// share one SlotProbCache (support/slot_prob_cache.hpp), so a slot costs
+// a cached threshold lookup, one vector draw and a branch-free
+// classification. Finished lanes are swap-removed, keeping the inner
+// loop dense.
 //
 // Bit-identity contract: lane k of a chunk starting at trial `first`
 // derives its randomness exactly as the sequential path does — trial
@@ -22,18 +24,15 @@
 // enforces this for both CD modes. Consequently any batch trial can be
 // replayed with full telemetry via replay_aggregate_trial.
 //
-// Lane stepping comes in two flavors (BatchLaneMode): the scalar path
-// walks lanes one at a time through Rng::uniform() and a branchy
-// classification, while the SIMD-wide path (support/wide_rng.hpp +
-// sim/batch_wide.hpp) advances kWideLanes xoshiro streams per
-// instruction and classifies branch-free against cached per-lane
-// thresholds. Lane-invariant adversary policies share one jam bit per
-// slot; the adaptive built-ins (bernoulli, single_denial,
-// collision_forcer) run wide too, through per-lane SoA adversary state
-// (sim/lane_adversary.hpp). Either way the contract above holds bit
-// for bit — tests/wide_batch_test.cpp and
-// tests/batch_adaptive_equivalence_test.cpp lock wide == scalar ==
-// sequential on both backends (AVX2 and the portable 4-wide fallback).
+// The adversary policy alone picks the lane engine: lane-invariant
+// policies (none, saturating, periodic, pulse, interval_buster) share
+// one jam bit per slot, and the adaptive built-ins (bernoulli,
+// single_denial, collision_forcer) run on per-lane SoA adversary state
+// (sim/lane_adversary.hpp). Either way the contract above holds bit for
+// bit — tests/wide_batch_test.cpp and
+// tests/batch_adaptive_equivalence_test.cpp lock batched == sequential
+// on both wide backends (AVX2 and the portable 4-wide fallback
+// selected by JAMELECT_FORCE_SCALAR=1).
 //
 // Entry point for users: set McConfig::batch — run_aggregate_mc and
 // run_hybrid_mc probe their factory with batch_kernel_spec() and fall
@@ -73,55 +72,9 @@ using BatchKernelSpec =
 [[nodiscard]] std::optional<BatchKernelSpec> batch_kernel_spec(
     const UniformProtocol& prototype);
 
-/// Which random-stream backend drives the simulation draws of a
-/// batched chunk.
-enum class RngBackend : std::uint8_t {
-  /// xoshiro256** streams derived by Rng::child chains — the default,
-  /// and the bit-identity reference shared with the sequential engines
-  /// (trial k simulates from Rng(seed).child(k).child(0x51e0)).
-  kXoshiro = 0,
-  /// AES-128-CTR counter streams (support/ctr_rng.hpp): trial k's
-  /// draw j is AES(key(seed), k || j) — any stream position is
-  /// addressable in O(1), so chunking, thread count, and lane width
-  /// cannot perturb a single draw by construction. Draw VALUES differ
-  /// from kXoshiro (they are different random streams): the two
-  /// backends are distinct, internally consistent result universes,
-  /// which is why the sweep service keys its result cache on the
-  /// backend. Applies to the kernelized batch path; adversary streams
-  /// stay on xoshiro (they are chunk-shared, not per-trial).
-  kAesCtr = 1,
-};
-
-/// Telemetry/manifest name of a backend: "xoshiro" / "aes_ctr".
-[[nodiscard]] const char* rng_backend_name(RngBackend backend) noexcept;
-
-/// Which lane-stepping path a batched chunk uses.
-enum class BatchLaneMode : std::uint8_t {
-  /// SIMD-wide whenever the adversary policy has a wide engine: the
-  /// lane-invariant policies (none/saturating/periodic/pulse/
-  /// interval_buster) share one jam bit per slot, and the adaptive
-  /// built-ins (bernoulli/single_denial/collision_forcer) run on
-  /// per-lane SoA adversary state (sim/lane_adversary.hpp) — i.e.
-  /// every built-in policy goes wide. The default — results are
-  /// identical either way.
-  kAuto = 0,
-  /// Force the SIMD-wide path (support/wide_rng.hpp — W lanes per
-  /// instruction; AVX2 or the portable 4-wide fallback, selected by
-  /// active_wide_isa()). Requires a policy with a wide engine (lane-
-  /// invariant or bank-supported); anything else violates a contract
-  /// check.
-  kWide,
-  /// Force the scalar per-lane path (one Rng step and one branchy
-  /// classification per lane per slot). Works with every policy;
-  /// useful as a baseline and for wide-vs-scalar identity tests.
-  kScalarLanes,
-};
-
 struct BatchConfig {
   std::uint64_t n = 1;
   std::int64_t max_slots = 1'000'000;
-  BatchLaneMode lanes = BatchLaneMode::kAuto;
-  RngBackend rng = RngBackend::kXoshiro;
 };
 
 /// Runs trials [first, first + count) of the run_aggregate_mc sweep

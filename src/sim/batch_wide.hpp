@@ -5,21 +5,23 @@
 // outcome counters — branch-free, one SIMD group (kWideLanes lanes) at
 // a time.
 //
-// Classification is the branch-free mirror of batch.cpp's category():
+// Classification is the branch-free mirror of run_aggregate's
+// (sim/aggregate.cpp) draw-vs-threshold categorization:
 //   lt0 = r < c_null, lt1 = r < c_single  (lt0 implies lt1),
 //   state = 2 - lt0 - lt1   (0 = Null, 1 = Single, 2 = Collision),
 //   nulls += lt0, singles += lt1 - lt0, transmissions += exp_tx.
 // The *_lesk variants additionally fold in LeskKernel::step on the SoA
 // u array: Null -> max(u - 1, 0), Collision -> u + inc, Single ->
 // unchanged (the lane retires this slot). Jammed variants advance the
-// streams without converting (the scalar path draws and discards) and
-// accumulate only transmissions — the slot is a Collision for every
-// lane, which the engine derives as slots - nulls - singles.
+// streams without converting (the sequential engine draws and
+// discards) and accumulate only transmissions — the slot is a
+// Collision for every lane, which the engine derives as
+// slots - nulls - singles.
 //
 // Both backends process lanes in ascending order with the exact scalar
 // double expressions (the AVX2 u64->double conversion and max/add/blend
 // sequences are exact step-for-step), so the per-lane accumulator
-// values are bit-identical to the scalar lane engine's.
+// values are bit-identical to the sequential engine's.
 #pragma once
 
 #include <cstddef>

@@ -13,7 +13,6 @@
 #include "protocols/kernels.hpp"
 #include "protocols/uniform_station.hpp"
 #include "support/binomial_cache.hpp"
-#include "support/ctr_rng.hpp"
 #include "support/expects.hpp"
 #include "support/wide_rng.hpp"
 
@@ -122,73 +121,14 @@ template <class Kernel>
 }
 
 // ---------------------------------------------------------------------------
-// RNG lane packs.
+// Per-lane RNG view.
 // ---------------------------------------------------------------------------
 
-/// Scalar fallback pack: one independent scalar generator per lane
-/// behind the same lane facade the wide packs expose, at group width
-/// 1. Used for BatchLaneMode::kScalarLanes and the forced-scalar CI
-/// matrix; draw-for-draw identical to the wide packs by the facades'
-/// bit-identity contracts.
-template <class ScalarRng>
-class ScalarLanePack {
- public:
-  void add_lane(ScalarRng rng) { rngs_.push_back(std::move(rng)); }
-  [[nodiscard]] std::size_t padded_lanes() const noexcept {
-    return rngs_.size();
-  }
-  [[nodiscard]] double uniform_lane(std::size_t lane) {
-    return rngs_[lane].uniform();
-  }
-  [[nodiscard]] std::uint64_t below_lane(std::size_t lane,
-                                         std::uint64_t bound) {
-    return rngs_[lane].below(bound);
-  }
-  void move_lane(std::size_t dst, std::size_t src) { rngs_[dst] = rngs_[src]; }
-  void uniform_masked(std::size_t groups, const std::uint8_t* mask,
-                      double* out) {
-    for (std::size_t k = 0; k < groups; ++k) {
-      if (mask[k] != 0) out[k] = rngs_[k].uniform();
-    }
-  }
-  void uniform_groups(std::size_t groups, double* out) {
-    for (std::size_t k = 0; k < groups; ++k) out[k] = rngs_[k].uniform();
-  }
-  void uniform_groups2(std::size_t groups, double* out_u, double* out_v) {
-    for (std::size_t k = 0; k < groups; ++k) {
-      out_u[k] = rngs_[k].uniform();
-      out_v[k] = rngs_[k].uniform();
-    }
-  }
-
- private:
-  std::vector<ScalarRng> rngs_;
-};
-
-template <class Pack>
-struct PackTraits;
-template <>
-struct PackTraits<WideXoshiro> {
-  static constexpr std::size_t kGroupWidth = kWideLanes;
-  static constexpr bool kWidePack = true;
-};
-template <>
-struct PackTraits<WideAesCtr> {
-  static constexpr std::size_t kGroupWidth = kWideLanes;
-  static constexpr bool kWidePack = true;
-};
-template <class ScalarRng>
-struct PackTraits<ScalarLanePack<ScalarRng>> {
-  static constexpr std::size_t kGroupWidth = 1;
-  static constexpr bool kWidePack = false;
-};
-
-/// Lane view of a pack, quacking like a scalar generator for
-/// binomial_plan_draw_first's remainder draws (loop coins past the
+/// Lane view of the wide generator, quacking like a scalar generator
+/// for binomial_plan_draw_first's remainder draws (loop coins past the
 /// first, BTPE rejection retries).
-template <class Pack>
 struct LaneRng {
-  Pack* pack;
+  WideXoshiro* pack;
   std::size_t lane;
   [[nodiscard]] double uniform() { return pack->uniform_lane(lane); }
 };
@@ -240,10 +180,10 @@ CohortWorkspace& local_cohort_workspace() {
 /// of virtual protocols, and draws through the plan cache. Runs a lane
 /// whose cohort table outgrew CohortBatchConfig::cohort_cap, restarted
 /// from slot 0 on freshly derived streams.
-template <class Kernel, class ScalarRng>
+template <class Kernel>
 TrialOutcome scalar_cohort_trial(const typename Kernel::Params& params,
                                  const CohortBatchConfig& config,
-                                 BoundedAdversary& adversary, ScalarRng rng,
+                                 BoundedAdversary& adversary, Rng rng,
                                  BinomialSamplerCache& cache,
                                  std::int64_t& slots_accum) {
   struct Cohort {
@@ -383,18 +323,31 @@ TrialOutcome scalar_cohort_trial(const typename Kernel::Params& params,
 /// bookkeeping, feedback/split, adversary observe, merge, stop rule).
 /// Finished lanes are swap-removed after the sweep; lanes whose cohort
 /// table would exceed the cap retire to `rerun`.
-template <class Kernel, class Pack, class RerunFn>
+///
+/// Lane k draws from the sequential trial stream
+/// base.child(first + k).child(0x51e0), bit for bit.
+template <class Kernel>
 void cohort_lanes(const typename Kernel::Params& params,
                   const AdversarySpec& spec, const CohortBatchConfig& config,
                   const Rng& base, std::size_t first, std::size_t count,
-                  TrialOutcome* out, Pack& pack, const RerunFn& rerun) {
-  constexpr std::size_t kW = PackTraits<Pack>::kGroupWidth;
+                  TrialOutcome* out) {
   const std::uint64_t n = config.n;
   const std::size_t cap = config.cohort_cap;
+  WideXoshiro pack(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    pack.seed_lane(k, base.child(first + k).child(0x51e0).seed());
+  }
   const std::size_t padded = pack.padded_lanes();
 
   CohortWorkspace& workspace = local_cohort_workspace();
   BinomialSamplerCache& cache = workspace.cache;
+  const auto rerun = [&](std::uint32_t rel, std::int64_t& slots_accum) {
+    const Rng trial_rng = base.child(first + rel);
+    auto adv = make_adversary(spec, trial_rng.child(0xad50));
+    return scalar_cohort_trial<Kernel>(params, config, *adv,
+                                       trial_rng.child(0x51e0), cache,
+                                       slots_accum);
+  };
   if constexpr (std::is_same_v<Kernel, kernels::LeskKernel>) {
     // LESK's u moves on the {-1, +eps/8} lattice, so steady-state plan
     // lookups hit the dense index (same policy as the aggregate batch
@@ -532,7 +485,7 @@ void cohort_lanes(const typename Kernel::Params& params,
       max_count = std::max(max_count, counts[l]);
     }
 
-    const std::size_t groups = (active + kW - 1) / kW;
+    const std::size_t groups = (active + kWideLanes - 1) / kWideLanes;
     // The sequential engine's slot body for one lane: resolve,
     // bookkeeping, feedback/split (overflow retires to the scalar
     // rerun), adversary observe, merge, stop rule. Shared by the fused
@@ -765,7 +718,7 @@ void cohort_lanes(const typename Kernel::Params& params,
                 std::floor(xm - p1 * second_u[l] + uu));
             k = refl ? pn - y : y;
           } else {
-            LaneRng<Pack> lane_rng{&pack, l};
+            LaneRng lane_rng{&pack, l};
             k = binomial_plan_draw_first2(plan, first_u[l], second_u[l],
                                           lane_rng);
           }
@@ -785,7 +738,7 @@ void cohort_lanes(const typename Kernel::Params& params,
         pack.uniform_groups(groups, first_u.data());
         bool all_collide = true;
         for (std::size_t l = 0; l < active; ++l) {
-          LaneRng<Pack> lane_rng{&pack, l};
+          LaneRng lane_rng{&pack, l};
           const std::uint64_t k =
               binomial_plan_draw_first(plan, first_u[l], lane_rng);
           const bool jammed = shared_adv ? shared_jam : jammed_v[l] != 0;
@@ -833,7 +786,7 @@ void cohort_lanes(const typename Kernel::Params& params,
           btpe_mask[l] =
               memo_plan->regime == BinomialPlan::Regime::kBtpe ? 1 : 0;
         }
-        for (std::size_t l = active; l < groups * kW; ++l) {
+        for (std::size_t l = active; l < groups * kWideLanes; ++l) {
           mask[l] = 0;
           btpe_mask[l] = 0;
         }
@@ -858,12 +811,12 @@ void cohort_lanes(const typename Kernel::Params& params,
                     std::floor(bt.xm - bt.p1 * v + u));
                 k = plan.reflect ? plan.n - y : y;
               } else {
-                LaneRng<Pack> lane_rng{&pack, l};
+                LaneRng lane_rng{&pack, l};
                 k = binomial_plan_draw_first2(plan, first_u[l], second_u[l],
                                               lane_rng);
               }
             } else if (mask[l] != 0) {
-              LaneRng<Pack> lane_rng{&pack, l};
+              LaneRng lane_rng{&pack, l};
               k = binomial_plan_draw_first(*plans[l], first_u[l], lane_rng);
             } else {
               k = plans[l]->regime == BinomialPlan::Regime::kAll ? plans[l]->n
@@ -903,7 +856,7 @@ void cohort_lanes(const typename Kernel::Params& params,
           btpe_mask[l] =
               memo_plan->regime == BinomialPlan::Regime::kBtpe ? 1 : 0;
         }
-        for (std::size_t l = active; l < groups * kW; ++l) {
+        for (std::size_t l = active; l < groups * kWideLanes; ++l) {
           mask[l] = 0;
           btpe_mask[l] = 0;
         }
@@ -930,12 +883,12 @@ void cohort_lanes(const typename Kernel::Params& params,
                   static_cast<std::uint64_t>(std::floor(bt.xm - bt.p1 * v + u));
               k = plan.reflect ? plan.n - y : y;
             } else {
-              LaneRng<Pack> lane_rng{&pack, l};
+              LaneRng lane_rng{&pack, l};
               k = binomial_plan_draw_first2(plan, first_u[l], second_u[l],
                                             lane_rng);
             }
           } else if (mask[l] != 0) {
-            LaneRng<Pack> lane_rng{&pack, l};
+            LaneRng lane_rng{&pack, l};
             k = binomial_plan_draw_first(*plans[l], first_u[l], lane_rng);
           } else {
             k = plans[l]->regime == BinomialPlan::Regime::kAll ? plans[l]->n
@@ -986,82 +939,11 @@ void cohort_lanes(const typename Kernel::Params& params,
 
   JAMELECT_OBS_COUNT("engine.batch.cohort_chunks", 1);
   JAMELECT_OBS_COUNT("engine.batch.slots", slots_total + rerun_slots);
-  if constexpr (PackTraits<Pack>::kWidePack) {
-    JAMELECT_OBS_COUNT("mc.batch_wide_slots", slots_total);
-  } else {
-    JAMELECT_OBS_COUNT("mc.batch_scalar_slots", slots_total);
-  }
+  JAMELECT_OBS_COUNT("mc.batch_wide_slots", slots_total);
   if (rerun_slots > 0) {
     JAMELECT_OBS_COUNT("mc.batch_scalar_slots", rerun_slots);
   }
   workspace.emit_cache_counters();
-}
-
-// ---------------------------------------------------------------------------
-// Backend / lane-mode dispatch.
-// ---------------------------------------------------------------------------
-
-template <class Kernel>
-void dispatch_cohort_lanes(const typename Kernel::Params& params,
-                           const AdversarySpec& spec,
-                           const CohortBatchConfig& config, const Rng& base,
-                           std::size_t first, std::size_t count,
-                           TrialOutcome* out) {
-  CohortWorkspace& workspace = local_cohort_workspace();
-  const bool scalar_lanes = config.lanes == BatchLaneMode::kScalarLanes;
-  if (config.rng == RngBackend::kAesCtr) {
-    // AES-CTR universe: trial t's sim stream is stream index t under
-    // the sweep key (counter 0 up), the adversary stays on the xoshiro
-    // child derivation. Invariant to lane count and chunk partition.
-    const AesKey key = make_aes_key(base.seed());
-    const auto rerun = [&](std::uint32_t rel, std::int64_t& slots_accum) {
-      auto adv = make_adversary(spec, base.child(first + rel).child(0xad50));
-      return scalar_cohort_trial<Kernel>(
-          params, config, *adv,
-          AesCtrRng(key, static_cast<std::uint64_t>(first + rel)),
-          workspace.cache, slots_accum);
-    };
-    if (scalar_lanes) {
-      ScalarLanePack<AesCtrRng> pack;
-      for (std::size_t k = 0; k < count; ++k) {
-        pack.add_lane(AesCtrRng(key, static_cast<std::uint64_t>(first + k)));
-      }
-      cohort_lanes<Kernel>(params, spec, config, base, first, count, out,
-                           pack, rerun);
-    } else {
-      WideAesCtr pack(key, count);
-      for (std::size_t k = 0; k < count; ++k) {
-        pack.seed_lane(k, static_cast<std::uint64_t>(first + k));
-      }
-      cohort_lanes<Kernel>(params, spec, config, base, first, count, out,
-                           pack, rerun);
-    }
-    return;
-  }
-  // Xoshiro: lane k is the sequential trial stream
-  // base.child(first + k).child(0x51e0), bit for bit.
-  const auto rerun = [&](std::uint32_t rel, std::int64_t& slots_accum) {
-    const Rng trial_rng = base.child(first + rel);
-    auto adv = make_adversary(spec, trial_rng.child(0xad50));
-    return scalar_cohort_trial<Kernel>(params, config, *adv,
-                                       trial_rng.child(0x51e0),
-                                       workspace.cache, slots_accum);
-  };
-  if (scalar_lanes) {
-    ScalarLanePack<Rng> pack;
-    for (std::size_t k = 0; k < count; ++k) {
-      pack.add_lane(base.child(first + k).child(0x51e0));
-    }
-    cohort_lanes<Kernel>(params, spec, config, base, first, count, out, pack,
-                         rerun);
-  } else {
-    WideXoshiro pack(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      pack.seed_lane(k, base.child(first + k).child(0x51e0).seed());
-    }
-    cohort_lanes<Kernel>(params, spec, config, base, first, count, out, pack,
-                         rerun);
-  }
 }
 
 }  // namespace
@@ -1107,8 +989,8 @@ void run_cohort_batch_trials(const CohortKernelSpec& spec,
       [&](const auto& params) {
         using Kernel =
             typename KernelFor<std::decay_t<decltype(params)>>::type;
-        dispatch_cohort_lanes<Kernel>(params, adversary, config, base, first,
-                                      count, out);
+        cohort_lanes<Kernel>(params, adversary, config, base, first, count,
+                             out);
       },
       spec);
 }

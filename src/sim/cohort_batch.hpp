@@ -10,18 +10,16 @@
 // walks cohort positions across all lanes, resolves each cohort's
 // Binomial(|cohort|, p) plan through a memoized BinomialSamplerCache
 // (support/binomial_cache.hpp, keyed on (|cohort|, broadcast_u)), and
-// batches each position's first uniform across lanes through a wide
-// RNG (WideXoshiro / WideAesCtr) group draw.
+// batches each position's first uniform across lanes through a
+// WideXoshiro group draw.
 //
-// Exactness: with the xoshiro backend, trial k's TrialOutcome is
-// bit-identical to the sequential run_cohort_mc trial k for the same
-// McConfig::seed — same per-trial stream (base.child(k).child(0x51e0)),
-// same draw order (cohorts in table order, one group uniform then
-// scalar remainder draws per cohort), same adversary derivation
-// (child(0xad50)), same leader draws, regardless of lane count, lane
-// mode, or pool width. The AES-CTR backend is its own deterministic
-// universe (stream = trial index), likewise invariant to lane count
-// and partitioning. Pinned by tests/cohort_batch_equivalence_test.cpp.
+// Exactness: trial k's TrialOutcome is bit-identical to the sequential
+// run_cohort_mc trial k for the same McConfig::seed — same per-trial
+// stream (base.child(k).child(0x51e0)), same draw order (cohorts in
+// table order, one group uniform then scalar remainder draws per
+// cohort), same adversary derivation (child(0xad50)), same leader
+// draws, regardless of lane count or pool width. Pinned by
+// tests/cohort_batch_equivalence_test.cpp.
 //
 // Cohort-capacity overflow: lanes whose cohort table would exceed
 // CohortBatchConfig::cohort_cap (possible under weak CD, where done
@@ -68,8 +66,6 @@ struct CohortBatchConfig {
   std::int64_t max_slots = 1'000'000;
   CdMode cd = CdMode::kStrong;
   StopRule stop = StopRule::kAllDone;
-  BatchLaneMode lanes = BatchLaneMode::kAuto;
-  RngBackend rng = RngBackend::kXoshiro;
   /// Cohort-table capacity per lane (>= 1). Adapter-kernel protocols
   /// split at most once per trial — a Single slot separates the done
   /// listeners from the lone transmitter — so they peak at 2 cohorts

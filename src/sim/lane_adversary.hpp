@@ -1,9 +1,8 @@
 // LaneAdversaryBank — SoA lane-variant adversaries for the wide batch
 // engines.
 //
-// The scalar batch path gives every lane its own BoundedAdversary (one
-// virtual policy + one JammingBudget each); any lane-variant policy
-// therefore used to disqualify the wide path outright. This bank lifts
+// The sequential engines give every trial its own BoundedAdversary (one
+// virtual policy + one JammingBudget each). This bank lifts
 // the three adaptive built-in policies into structure-of-arrays state so
 // a whole chunk of lanes advances per slot with no virtual dispatch:
 //

@@ -341,9 +341,8 @@ std::optional<BatchKernelSpec> probe_batch_factory(
 ///   .observer — a telemetry observer needs the virtual path's hooks
 ///               (station engine only);
 ///   .adversary — kept registered as a tombstone: every built-in
-///               policy now has a batch engine (wide or scalar lanes),
-///               so this stays 0 unless an out-of-tree build re-adds
-///               a disqualifying policy;
+///               policy has a batch lane engine, so this stays 0 unless
+///               an out-of-tree build re-adds a disqualifying policy;
 ///   .cohort   — a run_cohort_mc prototype the cohort lanes cannot
 ///               batch (not a pristine UniformStationAdapter over a
 ///               paper kernel — e.g. Notification, a baseline, or a
@@ -358,7 +357,6 @@ void register_batch_counters() {
   JAMELECT_OBS_COUNT("mc.batch_scalar_slots", 0);
   JAMELECT_OBS_COUNT("mc.parallel_chunks", 0);
   JAMELECT_OBS_COUNT("mc.parallel_cache_reuse", 0);
-  JAMELECT_OBS_COUNT("mc.rng_backend_fallbacks", 0);
 }
 
 /// One batched sweep dropped to the sequential path: bump the total
@@ -383,15 +381,6 @@ void count_batch_fallback(BatchFallbackReason reason) {
     case BatchFallbackReason::kCohort:
       JAMELECT_OBS_COUNT("mc.batch_fallback.cohort", 1);
       break;
-  }
-}
-
-/// A non-kernelizable protocol dropped a batched sweep onto the
-/// sequential path, which only speaks xoshiro: a requested AES-CTR
-/// backend is silently a different ask than what ran, so count it.
-void count_backend_fallback(const McConfig& config) {
-  if (config.rng_backend == RngBackend::kAesCtr) {
-    JAMELECT_OBS_COUNT("mc.rng_backend_fallbacks", 1);
   }
 }
 
@@ -458,16 +447,13 @@ McResult run_aggregate_mc(const UniformProtocolFactory& factory,
       const Rng base(config.seed);
       const BatchChunkRunner chunk =
           [kernel = *kernel, spec, n, max_slots = config.max_slots,
-           lanes = config.batch_lanes, rng = config.rng_backend,
            base](std::size_t first, std::size_t count, TrialOutcome* out) {
-            run_batch_aggregate_trials(kernel, spec,
-                                       {n, max_slots, lanes, rng}, base,
+            run_batch_aggregate_trials(kernel, spec, {n, max_slots}, base,
                                        first, count, out);
           };
       return run_trials_batched(chunk, n, config);
     }
     count_batch_fallback(BatchFallbackReason::kProtocol);
-    count_backend_fallback(config);
   }
   const TrialRunner runner = [&factory, spec, n,
                               max_slots = config.max_slots](Rng rng) {
@@ -490,15 +476,13 @@ McResult run_hybrid_mc(const UniformProtocolFactory& factory,
       const Rng base(config.seed);
       const BatchChunkRunner chunk =
           [kernel = *kernel, spec, n, max_slots = config.max_slots,
-           lanes = config.batch_lanes, rng = config.rng_backend,
            base](std::size_t first, std::size_t count, TrialOutcome* out) {
-            run_batch_hybrid_trials(kernel, spec, {n, max_slots, lanes, rng},
-                                    base, first, count, out);
+            run_batch_hybrid_trials(kernel, spec, {n, max_slots}, base, first,
+                                    count, out);
           };
       return run_trials_batched(chunk, n, config);
     }
     count_batch_fallback(BatchFallbackReason::kProtocol);
-    count_backend_fallback(config);
   }
   const TrialRunner runner = [&factory, spec, n,
                               max_slots = config.max_slots](Rng rng) {
@@ -520,12 +504,7 @@ McResult run_station_mc(
     register_batch_counters();
     if (engine.observer != nullptr) {
       count_batch_fallback(BatchFallbackReason::kObserver);
-      count_backend_fallback(config);
     } else if (const auto kernel = station_batch_spec(station_factory, n)) {
-      // The station engine's serial per-station draw chain only speaks
-      // xoshiro (like the sequential path): a requested AES-CTR backend
-      // is honored in neither, so count it but keep the batch win.
-      count_backend_fallback(config);
       const BatchChunkRunner chunk =
           [kernel = *kernel, spec, engine,
            base = Rng(config.seed)](std::size_t first, std::size_t count,
@@ -536,7 +515,6 @@ McResult run_station_mc(
       return run_trials_batched(chunk, n, config);
     } else {
       count_batch_fallback(BatchFallbackReason::kProtocol);
-      count_backend_fallback(config);
     }
   }
   const TrialRunner runner = [&station_factory, spec, n, engine](Rng rng) {
@@ -562,22 +540,18 @@ McResult run_cohort_mc(
     register_batch_counters();
     if (engine.observer != nullptr) {
       count_batch_fallback(BatchFallbackReason::kObserver);
-      count_backend_fallback(config);
     } else if (const auto kernel = cohort_batch_spec(prototype_factory)) {
       const BatchChunkRunner chunk =
           [kernel = *kernel, spec, n, max_slots = engine.max_slots,
-           cd = engine.cd, stop = engine.stop, lanes = config.batch_lanes,
-           rng = config.rng_backend,
+           cd = engine.cd, stop = engine.stop,
            base = Rng(config.seed)](std::size_t first, std::size_t count,
                                     TrialOutcome* out) {
-            run_cohort_batch_trials(
-                kernel, spec, {n, max_slots, cd, stop, lanes, rng}, base,
-                first, count, out);
+            run_cohort_batch_trials(kernel, spec, {n, max_slots, cd, stop},
+                                    base, first, count, out);
           };
       return run_trials_batched(chunk, n, config);
     } else {
       count_batch_fallback(BatchFallbackReason::kCohort);
-      count_backend_fallback(config);
     }
   }
   const TrialRunner runner = [&prototype_factory, spec, n, engine](Rng rng) {

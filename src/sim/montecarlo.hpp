@@ -3,7 +3,8 @@
 //
 // Reproducibility contract: trial k of a run with seed S derives all of
 // its randomness from mix64(S, k) — results are independent of thread
-// count and scheduling.
+// count, scheduling, and McConfig::batch (the batched engines reproduce
+// the sequential ones trial for trial).
 #pragma once
 
 #include <cstdint>
@@ -45,24 +46,10 @@ struct McConfig {
   /// mc.batch_fallbacks and the reason-labeled mc.batch_fallback.*
   /// partition. Per-trial outcomes are bit-identical to batch == 0
   /// (same mix64(seed, k) derivation per trial), so this is purely a
-  /// throughput knob.
+  /// throughput knob. The aggregate, hybrid and cohort lanes draw from
+  /// SIMD-wide xoshiro streams, with the lane engine picked by the
+  /// adversary policy (sim/batch.hpp).
   std::size_t batch = 0;
-  /// Lane-stepping mode for the batched engine (ignored when batch ==
-  /// 0): kAuto picks the SIMD-wide path whenever the adversary policy
-  /// has a wide engine — shared jam bit for lane-invariant policies,
-  /// per-lane SoA state (sim/lane_adversary.hpp) for the adaptive
-  /// built-ins; see BatchLaneMode. Outcomes are bit-identical across
-  /// modes — another pure throughput knob.
-  BatchLaneMode batch_lanes = BatchLaneMode::kAuto;
-  /// Random-stream backend for the batched engine (ignored when batch
-  /// == 0): kXoshiro reproduces the sequential path bit for bit;
-  /// kAesCtr keys trial k's draws as AES-CTR stream k — a DIFFERENT
-  /// (internally consistent) result universe whose per-trial outcomes
-  /// are invariant across thread counts, lane modes, and AES
-  /// implementations. Non-kernelizable protocols fall back to the
-  /// sequential xoshiro path regardless (counted by
-  /// mc.rng_backend_fallbacks).
-  RngBackend rng_backend = RngBackend::kXoshiro;
   /// Pool to fan trials out on when `parallel` (nullptr = the
   /// process-wide global_pool()). Non-owning; must outlive the run.
   /// Results are bit-identical for every pool size — this exists so

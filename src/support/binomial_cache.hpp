@@ -263,7 +263,7 @@ template <class RngT>
 /// Draws from the plan, consuming uniforms from `rng` in exactly the
 /// order binomial_sample(plan.n, plan.p, rng) would: bit-identical k
 /// for a bit-identical uniform stream. RngT needs only
-/// `double uniform()` (Rng, AesCtrRng, or a wide-lane adapter).
+/// `double uniform()` (Rng, or a per-lane view of WideXoshiro).
 template <class RngT>
 [[nodiscard]] std::uint64_t binomial_plan_draw(const BinomialPlan& plan,
                                                RngT& rng) {

@@ -71,8 +71,11 @@ void ThreadPool::run_job_slot(ParallelJob& job, std::size_t slot) {
     std::lock_guard lock(job.error_mutex);
     if (!job.error) job.error = std::current_exception();
   }
+  // Decrement under the lock: the caller may destroy the job as soon as
+  // it sees pending == 0, so the last touch of the job must come before
+  // the caller can take the lock and look.
+  std::lock_guard lock(job.done_mutex);
   if (job.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard lock(job.done_mutex);
     job.done_cv.notify_all();
   }
 }

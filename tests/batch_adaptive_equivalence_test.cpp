@@ -6,10 +6,11 @@
 // public estimates and policy rng streams. The contract is the same
 // bit-identity the lane-invariant policies enjoy: for every adaptive
 // policy, both CD modes (strong-CD aggregate, weak-CD hybrid), every
-// lane count, and both rng backends, kWide == kScalarLanes == the
-// sequential per-trial reference, outcome field for outcome field.
-// (CI replays this suite under JAMELECT_FORCE_SCALAR=1, which swaps
-// the wide facade onto its scalar grouped path — same contract.)
+// lane count, and every wide backend (AVX2 and the portable scalar4
+// fallback), a batched chunk == the sequential per-trial reference,
+// outcome field for outcome field. (CI also replays this suite under
+// JAMELECT_FORCE_SCALAR=1, which pins the process-wide default to the
+// portable backend — same contract.)
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,6 +23,7 @@
 #include "protocols/lesu.hpp"
 #include "sim/batch.hpp"
 #include "sim/montecarlo.hpp"
+#include "support/wide_rng.hpp"
 
 namespace jamelect {
 namespace {
@@ -88,61 +90,77 @@ constexpr std::size_t kLaneCounts[] = {1, 3, 4, 5, 7, 29};
 constexpr std::uint64_t kN = 64;
 constexpr std::int64_t kMaxSlots = 20000;
 
-TEST(BatchAdaptive, AggregateWideMatchesScalarLanesPerPolicyAndBackend) {
+/// Backends available on this machine: scalar4 always, avx2 if usable.
+[[nodiscard]] std::vector<WideIsa> available_isas() {
+  std::vector<WideIsa> isas{WideIsa::kScalar4};
+  if (wide_avx2_supported()) isas.push_back(WideIsa::kAvx2);
+  return isas;
+}
+
+class IsaGuard {
+ public:
+  explicit IsaGuard(WideIsa isa) { set_wide_isa_for_testing(isa); }
+  ~IsaGuard() { reset_wide_isa_for_testing(); }
+  IsaGuard(const IsaGuard&) = delete;
+  IsaGuard& operator=(const IsaGuard&) = delete;
+};
+
+enum class Engine { kAggregate, kHybrid };
+
+/// For every adaptive policy, backend and lane count: trials
+/// [first, first + count) as one batched chunk must equal the same
+/// trials of the sequential (batch == 0) LESK sweep with seed `seed`.
+void expect_chunks_match_sequential(Engine engine, std::uint64_t seed,
+                                    std::int64_t max_slots,
+                                    std::size_t first) {
+  const UniformProtocolFactory lesk = [] {
+    return std::make_unique<Lesk>(LeskParams{0.5, 0.0});
+  };
   const BatchKernelSpec spec{LeskParams{0.5, 0.0}};
+  const BatchConfig cfg{kN, max_slots};
   for (const AdversarySpec& adv : adaptive_policies()) {
-    for (const RngBackend backend :
-         {RngBackend::kXoshiro, RngBackend::kAesCtr}) {
+    McConfig seq;
+    seq.trials = first + 29;  // the largest lane count
+    seq.seed = seed;
+    seq.max_slots = max_slots;
+    seq.parallel = false;
+    seq.keep_outcomes = true;
+    const McResult ref = engine == Engine::kAggregate
+                             ? run_aggregate_mc(lesk, adv, kN, seq)
+                             : run_hybrid_mc(lesk, adv, kN, seq);
+    ASSERT_EQ(ref.outcomes.size(), seq.trials);
+    for (const WideIsa isa : available_isas()) {
+      IsaGuard guard(isa);
       for (const std::size_t count : kLaneCounts) {
-        const Rng base(0x5eedULL);
-        BatchConfig scalar_cfg{kN, kMaxSlots, BatchLaneMode::kScalarLanes,
-                               backend};
-        BatchConfig wide_cfg{kN, kMaxSlots, BatchLaneMode::kWide, backend};
-        std::vector<TrialOutcome> scalar(count), wide(count);
-        run_batch_aggregate_trials(spec, adv, scalar_cfg, base, 2, count,
-                                   scalar.data());
-        run_batch_aggregate_trials(spec, adv, wide_cfg, base, 2, count,
-                                   wide.data());
-        const std::string what = adv.policy + "/" +
-                                 rng_backend_name(backend) + "/lanes=" +
-                                 std::to_string(count);
+        std::vector<TrialOutcome> wide(count);
+        if (engine == Engine::kAggregate) {
+          run_batch_aggregate_trials(spec, adv, cfg, Rng(seed), first, count,
+                                     wide.data());
+        } else {
+          run_batch_hybrid_trials(spec, adv, cfg, Rng(seed), first, count,
+                                  wide.data());
+        }
+        const std::string what = adv.policy + "/" + wide_isa_name(isa) +
+                                 "/lanes=" + std::to_string(count);
         for (std::size_t t = 0; t < count; ++t) {
-          expect_outcome_eq(scalar[t], wide[t], what, t);
+          expect_outcome_eq(ref.outcomes[first + t], wide[t], what, t);
         }
       }
     }
   }
 }
 
-TEST(BatchAdaptive, HybridWideMatchesScalarLanesPerPolicyAndBackend) {
-  const BatchKernelSpec spec{LeskParams{0.5, 0.0}};
-  for (const AdversarySpec& adv : adaptive_policies()) {
-    for (const RngBackend backend :
-         {RngBackend::kXoshiro, RngBackend::kAesCtr}) {
-      for (const std::size_t count : kLaneCounts) {
-        const Rng base(0xabcULL);
-        BatchConfig scalar_cfg{kN, 2 * kMaxSlots, BatchLaneMode::kScalarLanes,
-                               backend};
-        BatchConfig wide_cfg{kN, 2 * kMaxSlots, BatchLaneMode::kWide, backend};
-        std::vector<TrialOutcome> scalar(count), wide(count);
-        run_batch_hybrid_trials(spec, adv, scalar_cfg, base, 0, count,
-                                scalar.data());
-        run_batch_hybrid_trials(spec, adv, wide_cfg, base, 0, count,
-                                wide.data());
-        const std::string what = adv.policy + "/" +
-                                 rng_backend_name(backend) + "/lanes=" +
-                                 std::to_string(count);
-        for (std::size_t t = 0; t < count; ++t) {
-          expect_outcome_eq(scalar[t], wide[t], what, t);
-        }
-      }
-    }
-  }
+TEST(BatchAdaptive, AggregateWideMatchesSequentialPerPolicyAndBackend) {
+  expect_chunks_match_sequential(Engine::kAggregate, 0x5eedULL, kMaxSlots, 2);
+}
+
+TEST(BatchAdaptive, HybridWideMatchesSequentialPerPolicyAndBackend) {
+  expect_chunks_match_sequential(Engine::kHybrid, 0xabcULL, 2 * kMaxSlots, 0);
 }
 
 TEST(BatchAdaptive, McSweepMatchesSequentialReferencePerPolicy) {
-  // End-to-end through run_aggregate_mc and run_hybrid_mc: batch + kAuto
-  // (which now routes all adaptive built-ins wide) must reproduce the
+  // End-to-end through run_aggregate_mc and run_hybrid_mc: the batch
+  // knob (which routes all adaptive built-ins wide) must reproduce the
   // sequential per-trial reference bit for bit, for both inner kernels.
   const UniformProtocolFactory lesk = [] {
     return std::make_unique<Lesk>(LeskParams{0.5, 0.0});
@@ -200,8 +218,7 @@ TEST(BatchAdaptive, LaneVariantBernoulliDrawsMatchSequentialDistribution) {
   const BatchKernelSpec spec{PlainUniformParams{1.0}};
   constexpr std::size_t kTrials = 64;
   constexpr std::int64_t kSlots = 400;
-  const BatchConfig wide_cfg{1u << 20, kSlots, BatchLaneMode::kWide,
-                             RngBackend::kXoshiro};
+  const BatchConfig wide_cfg{1u << 20, kSlots};
   std::vector<TrialOutcome> wide(kTrials);
   run_batch_aggregate_trials(spec, bern, wide_cfg, Rng(7), 0, kTrials,
                              wide.data());

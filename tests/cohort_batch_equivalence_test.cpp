@@ -1,13 +1,10 @@
 // The batched cohort engine (sim/cohort_batch.hpp, McConfig::batch on
 // run_cohort_mc) must return bit-identical per-trial TrialOutcomes to
 // the sequential CohortEngine path for the same seed — for every
-// paper kernel, both CD modes, any lane count, either lane-stepping
-// mode, and any pool width. The AES-CTR backend is its own
-// deterministic universe: outcomes must be invariant to lane count
-// and partitioning against a one-lane reference. The memoized
-// binomial plans must reproduce binomial_sample draw for draw in
-// every regime, and cohort-cap overflow must retire lanes to a rerun
-// that still matches the sequential engine.
+// paper kernel, both CD modes, any lane count, and any pool width. The
+// memoized binomial plans must reproduce binomial_sample draw for draw
+// in every regime, and cohort-cap overflow must retire lanes to a
+// rerun that still matches the sequential engine.
 #include "sim/cohort_batch.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "protocols/lesk.hpp"
 #include "protocols/lesu.hpp"
 #include "protocols/lewk.hpp"
@@ -29,6 +27,7 @@
 #include "support/binomial_cache.hpp"
 #include "support/math.hpp"
 #include "support/thread_pool.hpp"
+#include "support/wide_rng.hpp"
 
 namespace jamelect {
 namespace {
@@ -137,25 +136,20 @@ struct Scenario {
 }
 
 constexpr std::size_t kLaneCounts[] = {1, 3, 4, 5, 7, 29};
-constexpr BatchLaneMode kLaneModes[] = {BatchLaneMode::kAuto,
-                                        BatchLaneMode::kScalarLanes};
 
-TEST(CohortBatchEquivalence, XoshiroBitIdenticalAcrossLaneCountsAndModes) {
+TEST(CohortBatchEquivalence, XoshiroBitIdenticalAcrossLaneCounts) {
   for (const Scenario& sc : scenarios()) {
     SCOPED_TRACE(sc.name);
     const auto seq = run_cohort_mc(sc.factory, sc.adversary, sc.n, sc.engine,
                                    base_config(24, 991, sc.engine.max_slots));
     ASSERT_EQ(seq.outcomes.size(), 24u) << sc.name;
     for (const std::size_t lanes : kLaneCounts) {
-      for (const BatchLaneMode mode : kLaneModes) {
-        McConfig config = base_config(24, 991, sc.engine.max_slots);
-        config.batch = lanes;
-        config.batch_lanes = mode;
-        const auto batched =
-            run_cohort_mc(sc.factory, sc.adversary, sc.n, sc.engine, config);
-        SCOPED_TRACE(lanes);
-        expect_all_outcomes_eq(seq, batched);
-      }
+      McConfig config = base_config(24, 991, sc.engine.max_slots);
+      config.batch = lanes;
+      const auto batched =
+          run_cohort_mc(sc.factory, sc.adversary, sc.n, sc.engine, config);
+      SCOPED_TRACE(lanes);
+      expect_all_outcomes_eq(seq, batched);
     }
   }
 }
@@ -177,37 +171,56 @@ TEST(CohortBatchEquivalence, XoshiroBitIdenticalAcrossPoolWidths) {
   }
 }
 
-TEST(CohortBatchEquivalence, AesCtrInvariantAcrossLaneCountsAndPools) {
-  for (const Scenario& sc : scenarios()) {
-    SCOPED_TRACE(sc.name);
-    // One-lane reference defines the AES universe for this seed.
-    McConfig ref_config = base_config(16, 313, sc.engine.max_slots);
-    ref_config.batch = 1;
-    ref_config.rng_backend = RngBackend::kAesCtr;
-    const auto ref =
-        run_cohort_mc(sc.factory, sc.adversary, sc.n, sc.engine, ref_config);
-    ASSERT_EQ(ref.outcomes.size(), 16u) << sc.name;
-    for (const std::size_t lanes : {3u, 29u}) {
-      for (const BatchLaneMode mode : kLaneModes) {
-        McConfig config = base_config(16, 313, sc.engine.max_slots);
-        config.batch = lanes;
-        config.batch_lanes = mode;
-        config.rng_backend = RngBackend::kAesCtr;
-        const auto batched =
-            run_cohort_mc(sc.factory, sc.adversary, sc.n, sc.engine, config);
-        SCOPED_TRACE(lanes);
-        expect_all_outcomes_eq(ref, batched);
-      }
-    }
-    ThreadPool pool(3);
-    McConfig config = base_config(16, 313, sc.engine.max_slots);
-    config.batch = 5;
-    config.rng_backend = RngBackend::kAesCtr;
+TEST(CohortBatchEquivalence, AdaptivePolicyBitIdenticalAcrossPoolWidths) {
+  const Scenario sc = scenarios()[5];  // bernoulli per-lane adversaries
+  ASSERT_EQ(sc.adversary.policy, "bernoulli");
+  const auto seq = run_cohort_mc(sc.factory, sc.adversary, sc.n, sc.engine,
+                                 base_config(30, 23, sc.engine.max_slots));
+  for (const std::size_t workers : {1u, 3u, 8u}) {
+    ThreadPool pool(workers);
+    McConfig config = base_config(30, 23, sc.engine.max_slots);
+    config.batch = 7;
     config.parallel = true;
     config.pool = &pool;
     const auto batched =
         run_cohort_mc(sc.factory, sc.adversary, sc.n, sc.engine, config);
-    expect_all_outcomes_eq(ref, batched);
+    SCOPED_TRACE(workers);
+    expect_all_outcomes_eq(seq, batched);
+  }
+}
+
+/// Pins the process-wide WideXoshiro backend for one scope.
+class IsaGuard {
+ public:
+  explicit IsaGuard(WideIsa isa) { set_wide_isa_for_testing(isa); }
+  ~IsaGuard() { reset_wide_isa_for_testing(); }
+  IsaGuard(const IsaGuard&) = delete;
+  IsaGuard& operator=(const IsaGuard&) = delete;
+};
+
+TEST(CohortBatchEquivalence, XoshiroBitIdenticalOnEveryWideBackend) {
+  // The cohort lanes draw from WideXoshiro directly: the portable
+  // scalar4 backend and AVX2 (where the CPU has it) must both replay
+  // the sequential streams, lanes straddling the group width.
+  std::vector<WideIsa> isas{WideIsa::kScalar4};
+  if (wide_avx2_supported()) isas.push_back(WideIsa::kAvx2);
+  for (const WideIsa isa : isas) {
+    IsaGuard guard(isa);
+    SCOPED_TRACE(wide_isa_name(isa));
+    for (const Scenario& sc : scenarios()) {
+      SCOPED_TRACE(sc.name);
+      const auto seq =
+          run_cohort_mc(sc.factory, sc.adversary, sc.n, sc.engine,
+                        base_config(12, 4049, sc.engine.max_slots));
+      for (const std::size_t lanes : {5u, 12u}) {
+        McConfig config = base_config(12, 4049, sc.engine.max_slots);
+        config.batch = lanes;
+        const auto batched =
+            run_cohort_mc(sc.factory, sc.adversary, sc.n, sc.engine, config);
+        SCOPED_TRACE(lanes);
+        expect_all_outcomes_eq(seq, batched);
+      }
+    }
   }
 }
 
@@ -242,20 +255,28 @@ TEST(CohortBatchEquivalence, CohortCapOverflowRetiresToExactRerun) {
                                  base_config(kTrials, 733, engine.max_slots));
   const auto kernel = cohort_batch_spec(factory);
   ASSERT_TRUE(kernel.has_value());
-  for (const BatchLaneMode mode : kLaneModes) {
-    CohortBatchConfig config;
-    config.n = n;
-    config.max_slots = engine.max_slots;
-    config.cd = engine.cd;
-    config.stop = engine.stop;
-    config.lanes = mode;
-    config.cohort_cap = 1;
-    std::vector<TrialOutcome> out(kTrials);
-    run_cohort_batch_trials(*kernel, spec, config, Rng(733), 0, kTrials,
-                            out.data());
-    for (std::size_t t = 0; t < kTrials; ++t) {
-      expect_outcome_eq(seq.outcomes[t], out[t], t);
-    }
+  CohortBatchConfig config;
+  config.n = n;
+  config.max_slots = engine.max_slots;
+  config.cd = engine.cd;
+  config.stop = engine.stop;
+  config.cohort_cap = 1;
+  auto& reg = obs::MetricsRegistry::global();
+  const bool was_enabled = reg.enabled();
+  reg.reset();
+  reg.set_enabled(true);
+  std::vector<TrialOutcome> out(kTrials);
+  run_cohort_batch_trials(*kernel, spec, config, Rng(733), 0, kTrials,
+                          out.data());
+  const auto snap = reg.aggregate();
+  reg.set_enabled(was_enabled);
+  for (std::size_t t = 0; t < kTrials; ++t) {
+    expect_outcome_eq(seq.outcomes[t], out[t], t);
+  }
+  if constexpr (obs::kObsCompiledIn) {
+    // The reruns step one trial at a time: they count as scalar slots.
+    EXPECT_GT(snap.counters.at("engine.cohort.lane_overflow"), 0);
+    EXPECT_GT(snap.counters.at("mc.batch_scalar_slots"), 0);
   }
 }
 

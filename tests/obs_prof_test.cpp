@@ -322,7 +322,6 @@ McConfig prof_test_config() {
   config.seed = 23;
   config.max_slots = 1 << 12;
   config.batch = 16;
-  config.batch_lanes = BatchLaneMode::kWide;
   config.parallel = false;
   config.keep_outcomes = true;
   return config;

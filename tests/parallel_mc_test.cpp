@@ -1,9 +1,10 @@
 // Scheduling determinism of the multi-core wide-batch orchestrator:
-// per-trial TrialOutcomes must be bit-identical across thread counts
-// (pools pinned to 1, 3, and 8 workers via McConfig::pool), lane modes,
-// and RNG backends — with partial final chunks in play — and a mid-run
-// cooperative shutdown must drain to a chunk-aligned subset whose
-// outcomes match the uninterrupted run trial for trial.
+// per-trial TrialOutcomes must be bit-identical to the sequential
+// unbatched engines at every thread count (serial, and pools pinned to
+// 1, 3, and 8 workers via McConfig::pool), for a lane-invariant and an
+// adaptive adversary — with partial final chunks in play — and a
+// mid-run cooperative shutdown must drain to a chunk-aligned subset
+// whose outcomes match the uninterrupted run trial for trial.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -44,7 +45,7 @@ UniformProtocolFactory lesk_factory() {
   return [] { return std::make_unique<Lesk>(LeskParams{0.5, 0.0}); };
 }
 
-/// A lane-invariant jamming adversary so BatchLaneMode::kWide is legal.
+/// A lane-invariant jamming adversary (the shared-jam-bit wide engine).
 AdversarySpec saturating() {
   AdversarySpec spec;
   spec.policy = "saturating";
@@ -53,115 +54,96 @@ AdversarySpec saturating() {
   return spec;
 }
 
-/// trials = 20 with batch = 7 forces a partial final chunk (7, 7, 6).
-McConfig orchestrated(RngBackend rng, BatchLaneMode lanes, ThreadPool* pool) {
+/// trials = 20 with batch = 7 forces a partial final chunk (7, 7, 6);
+/// batch = 0 is the sequential reference.
+McConfig orchestrated(ThreadPool* pool, std::size_t batch = 7) {
   McConfig config;
   config.trials = 20;
   config.seed = 0x5eedULL;
   config.max_slots = 20'000;
   config.parallel = pool != nullptr;
-  config.batch = 7;
-  config.batch_lanes = lanes;
-  config.rng_backend = rng;
+  config.batch = batch;
   config.pool = pool;
   config.keep_outcomes = true;
   return config;
 }
 
-const char* backend_name(RngBackend rng) {
-  return rng == RngBackend::kAesCtr ? "aes_ctr" : "xoshiro";
+/// An adaptive policy (the per-lane LaneAdversaryBank wide engine).
+AdversarySpec bernoulli() {
+  AdversarySpec spec;
+  spec.policy = "bernoulli";
+  spec.T = 64;
+  spec.eps = 0.25;
+  return spec;
 }
 
-TEST(ParallelMc, OutcomesInvariantAcrossPoolSizesLaneModesAndBackends) {
-  // The orchestrator contract: for a fixed backend, every combination
-  // of worker count and lane mode yields the same per-trial outcomes as
-  // the sequential chunk walk — chunk partitioning and work-stealing
-  // order must never touch a random draw.
-  for (const RngBackend rng : {RngBackend::kXoshiro, RngBackend::kAesCtr}) {
-    const McResult reference = run_aggregate_mc(
-        lesk_factory(), saturating(), 256,
-        orchestrated(rng, BatchLaneMode::kScalarLanes, nullptr));
-    ASSERT_EQ(reference.outcomes.size(), 20u);
-    for (const BatchLaneMode mode :
-         {BatchLaneMode::kScalarLanes, BatchLaneMode::kWide,
-          BatchLaneMode::kAuto}) {
-      for (const std::size_t workers : {1u, 3u, 8u}) {
-        ThreadPool pool(workers);
-        ASSERT_EQ(pool.size(), workers);
-        const McResult result = run_aggregate_mc(
-            lesk_factory(), saturating(), 256, orchestrated(rng, mode, &pool));
-        const std::string what = std::string(backend_name(rng)) + "/mode" +
-                                 std::to_string(static_cast<int>(mode)) +
-                                 "/workers" + std::to_string(workers);
-        ASSERT_EQ(result.outcomes.size(), reference.outcomes.size()) << what;
-        for (std::size_t t = 0; t < reference.outcomes.size(); ++t) {
-          expect_outcome_eq(reference.outcomes[t], result.outcomes[t], what,
-                            t);
-        }
-      }
-    }
+/// LESK at n = 256 through `run` (run_aggregate_mc or run_hybrid_mc).
+template <class Run>
+McResult run_lesk(Run run, const AdversarySpec& adv, const McConfig& config) {
+  return run(lesk_factory(), adv, 256, config);
+}
+
+void expect_same_outcomes(const McResult& reference, const McResult& result,
+                          const std::string& what) {
+  ASSERT_EQ(result.outcomes.size(), reference.outcomes.size()) << what;
+  for (std::size_t t = 0; t < reference.outcomes.size(); ++t) {
+    expect_outcome_eq(reference.outcomes[t], result.outcomes[t], what, t);
   }
 }
 
-TEST(ParallelMc, HybridOutcomesInvariantAcrossPoolSizesAndBackends) {
-  for (const RngBackend rng : {RngBackend::kXoshiro, RngBackend::kAesCtr}) {
-    const McResult reference =
-        run_hybrid_mc(lesk_factory(), saturating(), 256,
-                      orchestrated(rng, BatchLaneMode::kWide, nullptr));
-    ASSERT_EQ(reference.outcomes.size(), 20u);
-    for (const std::size_t workers : {1u, 3u, 8u}) {
-      ThreadPool pool(workers);
-      const McResult result =
-          run_hybrid_mc(lesk_factory(), saturating(), 256,
-                        orchestrated(rng, BatchLaneMode::kWide, &pool));
-      const std::string what = std::string("hybrid/") + backend_name(rng) +
-                               "/workers" + std::to_string(workers);
-      ASSERT_EQ(result.outcomes.size(), reference.outcomes.size()) << what;
-      for (std::size_t t = 0; t < reference.outcomes.size(); ++t) {
-        expect_outcome_eq(reference.outcomes[t], result.outcomes[t], what, t);
-      }
-    }
+/// The orchestrator contract: every worker count yields the per-trial
+/// outcomes of the plain sequential path — chunk partitioning and
+/// work-stealing order must never touch a random draw.
+template <class Run>
+void expect_pools_match_sequential(Run run, const AdversarySpec& adv,
+                                   const std::string& what) {
+  const McResult reference = run_lesk(run, adv, orchestrated(nullptr, 0));
+  ASSERT_EQ(reference.outcomes.size(), 20u);
+  for (const std::size_t workers : {1u, 3u, 8u}) {
+    ThreadPool pool(workers);
+    ASSERT_EQ(pool.size(), workers);
+    expect_same_outcomes(reference, run_lesk(run, adv, orchestrated(&pool)),
+                         what + "/workers" + std::to_string(workers));
   }
 }
+
+const auto kAggregate = [](auto&&... args) {
+  return run_aggregate_mc(args...);
+};
+const auto kHybrid = [](auto&&... args) { return run_hybrid_mc(args...); };
 
 TEST(ParallelMc, XoshiroOrchestratorMatchesSequentialUnbatchedReference) {
-  // The xoshiro backend is not merely internally consistent: batched +
-  // parallel + wide must reproduce the plain sequential per-trial path
-  // bit for bit (same mix64(seed, k) stream derivation).
-  McConfig seq;
-  seq.trials = 20;
-  seq.seed = 0x5eedULL;
-  seq.max_slots = 20'000;
-  seq.parallel = false;
-  seq.keep_outcomes = true;
-  const McResult reference =
-      run_aggregate_mc(lesk_factory(), saturating(), 256, seq);
-  ThreadPool pool(3);
-  const McResult batched = run_aggregate_mc(
-      lesk_factory(), saturating(), 256,
-      orchestrated(RngBackend::kXoshiro, BatchLaneMode::kWide, &pool));
-  ASSERT_EQ(batched.outcomes.size(), reference.outcomes.size());
-  for (std::size_t t = 0; t < reference.outcomes.size(); ++t) {
-    expect_outcome_eq(reference.outcomes[t], batched.outcomes[t], "seq-ref",
-                      t);
+  // The serial chunk walk (batch > 0, no pool) is not merely internally
+  // consistent: it must reproduce the plain sequential per-trial path
+  // bit for bit (same mix64(seed, k) stream derivation), for both
+  // adversary flavors and both inner kernels.
+  for (const AdversarySpec& adv : {saturating(), bernoulli()}) {
+    expect_same_outcomes(run_lesk(kAggregate, adv, orchestrated(nullptr, 0)),
+                         run_lesk(kAggregate, adv, orchestrated(nullptr)),
+                         "aggregate/" + adv.policy);
+    expect_same_outcomes(run_lesk(kHybrid, adv, orchestrated(nullptr, 0)),
+                         run_lesk(kHybrid, adv, orchestrated(nullptr)),
+                         "hybrid/" + adv.policy);
   }
 }
 
-TEST(ParallelMc, AesBackendIsADistinctResultUniverse) {
-  // aes_ctr is a different (internally consistent) stream family, not a
-  // re-encoding of xoshiro: the sweeps must disagree somewhere.
-  const McResult xo = run_aggregate_mc(
-      lesk_factory(), saturating(), 256,
-      orchestrated(RngBackend::kXoshiro, BatchLaneMode::kWide, nullptr));
-  const McResult aes = run_aggregate_mc(
-      lesk_factory(), saturating(), 256,
-      orchestrated(RngBackend::kAesCtr, BatchLaneMode::kWide, nullptr));
-  ASSERT_EQ(xo.outcomes.size(), aes.outcomes.size());
-  bool any_diff = false;
-  for (std::size_t t = 0; t < xo.outcomes.size(); ++t) {
-    if (!outcome_equal(xo.outcomes[t], aes.outcomes[t])) any_diff = true;
-  }
-  EXPECT_TRUE(any_diff) << "aes_ctr reproduced the xoshiro sweep exactly";
+TEST(ParallelMc, OutcomesMatchSequentialAcrossPoolSizes) {
+  expect_pools_match_sequential(kAggregate, saturating(), "aggregate");
+}
+
+TEST(ParallelMc, HybridOutcomesMatchSequentialAcrossPoolSizes) {
+  expect_pools_match_sequential(kHybrid, saturating(), "hybrid");
+}
+
+TEST(ParallelMc, AdaptivePolicyOutcomesMatchSequentialAcrossPoolSizes) {
+  // Each chunk builds its own LaneAdversaryBank from the trial indices
+  // it owns, so the per-lane jam streams must not depend on which
+  // worker ran the chunk either.
+  expect_pools_match_sequential(kAggregate, bernoulli(), "aggregate");
+}
+
+TEST(ParallelMc, HybridAdaptivePolicyOutcomesMatchSequentialAcrossPoolSizes) {
+  expect_pools_match_sequential(kHybrid, bernoulli(), "hybrid");
 }
 
 TEST(ParallelMc, MidRunDrainIsChunkAlignedSubsetOnPinnedPool) {
@@ -178,8 +160,7 @@ TEST(ParallelMc, MidRunDrainIsChunkAlignedSubsetOnPinnedPool) {
   constexpr std::size_t kTrials = 50'000;
   constexpr std::size_t kBatch = 8;  // divides kTrials: all chunks whole
   ThreadPool pool(3);
-  McConfig config =
-      orchestrated(RngBackend::kAesCtr, BatchLaneMode::kWide, &pool);
+  McConfig config = orchestrated(&pool);
   config.trials = kTrials;
   config.batch = kBatch;
   config.max_slots = 10'000;
@@ -233,17 +214,13 @@ TEST(ParallelMc, OrchestrationMetricsRollUp) {
   reg.reset();
   reg.set_enabled(true);
   ThreadPool pool(3);
-  (void)run_aggregate_mc(
-      lesk_factory(), saturating(), 256,
-      orchestrated(RngBackend::kAesCtr, BatchLaneMode::kWide, &pool));
+  (void)run_aggregate_mc(lesk_factory(), saturating(), 256,
+                         orchestrated(&pool));
   const auto snap = reg.aggregate();
   reg.set_enabled(was_enabled);
   // 20 trials in chunks of 7 -> 3 chunk work items.
   ASSERT_TRUE(snap.counters.count("mc.parallel_chunks"));
   EXPECT_EQ(snap.counters.at("mc.parallel_chunks"), 3);
-  // Kernelizable protocol + lane-invariant policy: no backend fallback.
-  ASSERT_TRUE(snap.counters.count("mc.rng_backend_fallbacks"));
-  EXPECT_EQ(snap.counters.at("mc.rng_backend_fallbacks"), 0);
   // Per-worker workspaces are registered even when reuse is zero.
   EXPECT_TRUE(snap.counters.count("mc.parallel_cache_reuse"));
   // Effective width gauge: 3 workers + the participating caller.

@@ -4,12 +4,14 @@
 // identical in-flight requests coalesce onto one job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "service/json.hpp"
 #include "service/result_cache.hpp"
 #include "service/service.hpp"
 #include "service/sweep_request.hpp"
@@ -132,51 +134,99 @@ TEST(ResultCache, DiskTierServesEvictedKeysAndRepromotes) {
   EXPECT_EQ(*hit2, "{\"r\":2}");
 }
 
-TEST(SweepRequestKeying, RngBackendIsPartOfTheCacheKey) {
-  // The backends are different result universes, so requests differing
-  // only in `rng` must never share a cache entry...
-  SweepRequest xo = small_request(1234);
-  SweepRequest aes = small_request(1234);
-  aes.rng = "aes_ctr";
-  EXPECT_NE(xo.cache_key(), aes.cache_key());
-  // ...while `batch` (a pure throughput knob with bit-identical
-  // outcomes) deliberately is NOT keyed.
+TEST(SweepRequestKeying, BatchIsNotPartOfTheCacheKey) {
+  // `batch` is a pure throughput knob with bit-identical outcomes, so it
+  // deliberately is NOT keyed.
+  SweepRequest seq = small_request(1234);
   SweepRequest batched = small_request(1234);
   batched.batch = 64;
-  EXPECT_EQ(xo.cache_key(), batched.cache_key());
+  EXPECT_EQ(seq.cache_key(), batched.cache_key());
+}
+
+TEST(SweepRequestKeying, RngFieldIsRejectedAsUnknown) {
+  // Every batched chunk runs the xoshiro streams of the sequential
+  // engines; a request still naming a random-stream backend is refused
+  // rather than silently served.
+  for (const char* rng : {"xoshiro", "aes_ctr"}) {
+    const auto json = Json::parse(
+        std::string(R"({"protocol":"lesk","engine":"aggregate","n":1024,)") +
+        R"("eps":0.5,"trials":64,"seed":7,"batch":64,"rng":")" + rng +
+        R"("})");
+    ASSERT_TRUE(json.has_value());
+    std::string error;
+    EXPECT_FALSE(SweepRequest::from_json(*json, SweepLimits{}, &error));
+    EXPECT_EQ(error, "unknown field 'rng'") << rng;
+  }
+}
+
+TEST(SweepRequestKeying, ToJsonRoundTripsThroughFromJson) {
+  // to_json is the request's canonical echo in envelopes and logs; it
+  // must name only fields from_json accepts, and parse back to the same
+  // cache key.
+  SweepRequest request = small_request(77);
+  request.engine = "hybrid";
+  request.adversary = "periodic";
+  request.T = 48;
+  request.batch = 16;
+  std::string error;
+  const auto back =
+      SweepRequest::from_json(request.to_json(), SweepLimits{}, &error);
+  ASSERT_TRUE(back.has_value()) << error;
+  EXPECT_EQ(back->cache_key(), request.cache_key());
+  EXPECT_EQ(back->to_json().dump(), request.to_json().dump());
+  EXPECT_EQ(request.to_json().find("rng"), nullptr);
+  EXPECT_EQ(request.config_map().count("rng"), 0u);
+}
+
+/// The batched engines are a pure throughput knob — per-trial outcomes
+/// are bit-identical to the sequential engines — so `batch` stays out
+/// of the fingerprint, and whichever of a batched and a sequential
+/// request for `engine` arrives second must be served the first one's
+/// bytes.
+void expect_batch_twins_share_one_entry(const std::string& engine) {
+  for (const bool batched_first : {false, true}) {
+    SCOPED_TRACE(batched_first ? "batched first" : "sequential first");
+    SweepRequest seq = small_request(9042);
+    seq.engine = engine;
+    seq.batch = 0;
+    SweepRequest batched = seq;
+    batched.batch = 64;
+    ASSERT_EQ(seq.cache_key(), batched.cache_key());
+    const SweepRequest& a = batched_first ? batched : seq;
+    const SweepRequest& b = batched_first ? seq : batched;
+
+    ServiceConfig config;
+    config.workers = 1;
+    SweepService service(config);
+    const auto first = service.submit(a);
+    ASSERT_EQ(first.outcome, SweepService::Submit::Outcome::kAccepted);
+    const auto done = service.wait(first.id);
+    ASSERT_TRUE(done.has_value());
+    ASSERT_EQ(done->state, JobState::kDone);
+
+    // The twin is a cache hit on the first entry...
+    const auto second = service.submit(b);
+    ASSERT_EQ(second.outcome, SweepService::Submit::Outcome::kCached);
+    EXPECT_EQ(second.result_json, done->result_json);
+    EXPECT_EQ(service.computed(), 1u);
+
+    // ...and serving it those bytes is sound: computing the twin from
+    // scratch serializes to the identical JSON.
+    const McResult fresh = run_sweep(b, config.runner);
+    EXPECT_EQ(mc_result_to_json(fresh).dump(), second.result_json);
+  }
+}
+
+TEST(SweepServiceCache, AggregateBatchIsNotKeyedAndHitsSequentialEntry) {
+  expect_batch_twins_share_one_entry("aggregate");
+}
+
+TEST(SweepServiceCache, HybridBatchIsNotKeyedAndHitsSequentialEntry) {
+  expect_batch_twins_share_one_entry("hybrid");
 }
 
 TEST(SweepServiceCache, CohortBatchIsNotKeyedAndHitsSequentialEntry) {
-  // The batched cohort engine is a pure throughput knob — per-trial
-  // outcomes are bit-identical to the sequential cohort engine — so
-  // `batch` stays out of the fingerprint for cohort requests too, and a
-  // batched request must be served from a sequentially-computed entry.
-  SweepRequest seq = small_request(9042);
-  seq.engine = "cohort";
-  seq.batch = 0;
-  SweepRequest batched = seq;
-  batched.batch = 64;
-  EXPECT_EQ(seq.cache_key(), batched.cache_key());
-
-  ServiceConfig config;
-  config.workers = 1;
-  SweepService service(config);
-  const auto first = service.submit(seq);
-  ASSERT_EQ(first.outcome, SweepService::Submit::Outcome::kAccepted);
-  const auto done = service.wait(first.id);
-  ASSERT_TRUE(done.has_value());
-  ASSERT_EQ(done->state, JobState::kDone);
-
-  // The batched twin is a cache hit on the sequential entry...
-  const auto second = service.submit(batched);
-  ASSERT_EQ(second.outcome, SweepService::Submit::Outcome::kCached);
-  EXPECT_EQ(second.result_json, done->result_json);
-  EXPECT_EQ(service.computed(), 1u);
-
-  // ...and serving it those bytes is sound: computing the batched
-  // request from scratch serializes to the identical JSON.
-  const McResult fresh = run_sweep(batched, config.runner);
-  EXPECT_EQ(mc_result_to_json(fresh).dump(), second.result_json);
+  expect_batch_twins_share_one_entry("cohort");
 }
 
 TEST(ResultCache, RejectsHostileKeys) {
@@ -264,11 +314,17 @@ TEST(SweepServiceCache, HitLatencyBeatsComputeByTwoOrdersOfMagnitude) {
   ASSERT_EQ(done->state, JobState::kDone);
   const auto compute = Clock::now() - t0;
 
-  const auto t1 = Clock::now();
-  const auto second = service.submit(request);
-  const auto hit = Clock::now() - t1;
-  ASSERT_EQ(second.outcome, SweepService::Submit::Outcome::kCached);
-  EXPECT_EQ(second.result_json, done->result_json);
+  // A hit costs microseconds, so a single preemption of this thread
+  // (ctest runs suites side by side) can swamp one sample: the hit
+  // latency is the fastest of several identical cached submissions.
+  auto hit = Clock::duration::max();
+  for (int i = 0; i < 5; ++i) {
+    const auto t1 = Clock::now();
+    const auto second = service.submit(request);
+    hit = std::min(hit, Clock::now() - t1);
+    ASSERT_EQ(second.outcome, SweepService::Submit::Outcome::kCached);
+    EXPECT_EQ(second.result_json, done->result_json);
+  }
   // Acceptance criterion: cached >= 100x faster than computing.
   EXPECT_GE(compute.count(), 100 * hit.count())
       << "compute=" << compute.count() << "ns hit=" << hit.count() << "ns";

@@ -151,6 +151,23 @@ TEST(ServiceServer, MalformedAndInvalidRequests) {
   ASSERT_EQ(pong.size(), 1u);
 }
 
+TEST(ServiceServer, RngFieldIsA400NotASilentResult) {
+  // Every sweep runs the xoshiro streams of the sequential engines; a
+  // client still naming a random-stream backend gets a 400 instead of
+  // a result it might read as that backend's.
+  const ServerFixture fx;
+  const auto sock = fx.connect();
+  const auto bad = roundtrip(
+      sock.fd(),
+      "{\"op\":\"sweep\",\"params\":{\"n\":128,\"trials\":16,"
+      "\"seed\":7,\"batch\":64,\"rng\":\"aes_ctr\"}}");
+  ASSERT_EQ(bad.size(), 1u);
+  EXPECT_EQ(bad.back().find("code")->as_int(), 400);
+  EXPECT_NE(bad.back().find("error")->as_string().find("unknown field 'rng'"),
+            std::string::npos);
+  EXPECT_EQ(fx.service->computed(), 0u);
+}
+
 TEST(ServiceServer, QueueFullSurfacesAs429) {
   ServiceConfig svc_cfg;
   svc_cfg.workers = 1;

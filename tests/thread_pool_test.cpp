@@ -67,6 +67,22 @@ TEST(ThreadPool, ReusableAfterException) {
   EXPECT_EQ(count.load(), 10);
 }
 
+TEST(ThreadPool, BackToBackJobsNeverTouchAFinishedJob) {
+  // Each parallel call's job lives on the caller's stack, so the worker
+  // that finishes the last helper slot must be done with the job before
+  // the caller can see it complete; otherwise it notifies a condition
+  // variable the next call is already reconstructing in the same stack
+  // slot. Only the thread sanitizer (CI's TSAN job) sees that race.
+  ThreadPool pool(3);
+  std::atomic<std::size_t> total{0};
+  for (int round = 0; round < 20000; ++round) {
+    pool.parallel_for(4, [&total](std::size_t) {
+      total.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  EXPECT_EQ(total.load(), 80000u);
+}
+
 TEST(ThreadPool, SizeReflectsConstruction) {
   EXPECT_EQ(ThreadPool(3).size(), 3u);
   EXPECT_GE(ThreadPool(0).size(), 1u);  // hardware default

@@ -1,17 +1,18 @@
-// The SIMD-wide batch lane engines (BatchLaneMode::kWide) must return
-// bit-identical TrialOutcomes to the scalar lane path — for every
-// kernel (plain uniform, LESK, LESU), both CD modes, lane counts that
-// are not a multiple of the group width, lanes retiring mid-vector,
-// and on every available backend (AVX2 and the portable scalar4
-// fallback). kAuto must route by adversary policy; adaptive built-ins
-// (bernoulli & co.) ride the per-lane SoA wide engine and stay
-// bit-identical too (tests/batch_adaptive_equivalence_test.cpp covers
-// the full policy matrix), while kWide still rejects policies with no
-// wide engine at all (oracle_denial).
+// The SIMD-wide batch lane engines must return bit-identical
+// TrialOutcomes to the sequential engines (McConfig::batch == 0) — for
+// every kernel (plain uniform, LESK, LESU), both CD modes, lane counts
+// that are not a multiple of the group width, lanes retiring
+// mid-vector, and on every available backend (AVX2 and the portable
+// scalar4 fallback). The adversary policy picks the lane engine;
+// adaptive built-ins (bernoulli & co.) ride the per-lane SoA wide
+// engine and stay bit-identical too
+// (tests/batch_adaptive_equivalence_test.cpp covers the full policy
+// matrix), and a policy name with no lane engine is refused.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -36,7 +37,7 @@ void expect_outcome_eq(const TrialOutcome& a, const TrialOutcome& b,
   ASSERT_EQ(a.singles, b.singles) << what << " trial " << trial;
   ASSERT_EQ(a.collisions, b.collisions) << what << " trial " << trial;
   // Bit-identity, not approximate: the wide path replays the exact
-  // double arithmetic of the scalar lanes.
+  // double arithmetic of the sequential engines.
   ASSERT_EQ(a.transmissions, b.transmissions) << what << " trial " << trial;
   ASSERT_EQ(a.all_done, b.all_done) << what << " trial " << trial;
   ASSERT_EQ(a.unique_leader, b.unique_leader) << what << " trial " << trial;
@@ -60,13 +61,13 @@ class IsaGuard {
 
 struct Scenario {
   std::string name;
-  BatchKernelSpec spec;
+  UniformProtocolFactory factory;
   AdversarySpec adversary;
   std::uint64_t n;
 };
 
-/// One scenario per kernel, lane-invariant adversaries only (the wide
-/// path's precondition). Small n keeps elections quick, so lanes
+/// One scenario per kernel, lane-invariant adversaries only (the
+/// shared-jam-bit engine). Small n keeps elections quick, so lanes
 /// retire at staggered slots — including mid-vector, with live lanes
 /// on both sides of the retired one.
 [[nodiscard]] std::vector<Scenario> scenarios() {
@@ -74,8 +75,9 @@ struct Scenario {
   {
     AdversarySpec none;
     none.policy = "none";
-    list.push_back({"lesk/none", BatchKernelSpec{LeskParams{0.5, 0.0}}, none,
-                    8});
+    list.push_back({"lesk/none",
+                    [] { return std::make_unique<Lesk>(LeskParams{0.5, 0.0}); },
+                    none, 8});
   }
   {
     AdversarySpec sat;
@@ -83,71 +85,106 @@ struct Scenario {
     sat.T = 32;
     sat.eps = 0.5;
     list.push_back(
-        {"lesk/saturating", BatchKernelSpec{LeskParams{0.25, 0.0}}, sat, 256});
+        {"lesk/saturating",
+         [] { return std::make_unique<Lesk>(LeskParams{0.25, 0.0}); }, sat,
+         256});
   }
   {
     AdversarySpec per;
     per.policy = "periodic";
     per.T = 16;
     per.eps = 0.5;
-    list.push_back({"lesu/periodic", BatchKernelSpec{LesuParams{}}, per, 64});
+    list.push_back({"lesu/periodic",
+                    [] { return std::make_unique<Lesu>(LesuParams{}); }, per,
+                    64});
   }
   {
     AdversarySpec pulse;
     pulse.policy = "pulse";
     pulse.T = 24;
     pulse.eps = 0.25;
-    list.push_back({"uniform/pulse", BatchKernelSpec{PlainUniformParams{3.0}},
-                    pulse, 16});
+    list.push_back({"uniform/pulse",
+                    [] { return std::make_unique<PlainUniform>(3.0); }, pulse,
+                    16});
   }
   return list;
+}
+
+enum class Engine { kAggregate, kHybrid };
+
+/// The oracle: trials [first, first + count) of the sequential
+/// (batch == 0) sweep with this seed.
+[[nodiscard]] std::vector<TrialOutcome> sequential(
+    Engine engine, const Scenario& sc, std::uint64_t seed,
+    std::int64_t max_slots, std::size_t first, std::size_t count) {
+  McConfig cfg;
+  cfg.trials = first + count;
+  cfg.seed = seed;
+  cfg.max_slots = max_slots;
+  cfg.parallel = false;
+  cfg.keep_outcomes = true;
+  const McResult res =
+      engine == Engine::kAggregate
+          ? run_aggregate_mc(sc.factory, sc.adversary, sc.n, cfg)
+          : run_hybrid_mc(sc.factory, sc.adversary, sc.n, cfg);
+  return {res.outcomes.begin() + static_cast<std::ptrdiff_t>(first),
+          res.outcomes.end()};
+}
+
+/// The same trials as one batched chunk of `count` wide lanes.
+[[nodiscard]] std::vector<TrialOutcome> wide_chunk(
+    Engine engine, const Scenario& sc, std::uint64_t seed,
+    std::int64_t max_slots, std::size_t first, std::size_t count) {
+  const auto spec = batch_kernel_spec(*sc.factory());
+  EXPECT_TRUE(spec.has_value()) << sc.name;
+  std::vector<TrialOutcome> out(count);
+  if (!spec) return out;
+  const BatchConfig cfg{sc.n, max_slots};
+  if (engine == Engine::kAggregate) {
+    run_batch_aggregate_trials(*spec, sc.adversary, cfg, Rng(seed), first,
+                               count, out.data());
+  } else {
+    run_batch_hybrid_trials(*spec, sc.adversary, cfg, Rng(seed), first, count,
+                            out.data());
+  }
+  return out;
+}
+
+void expect_wide_matches_sequential(Engine engine, const Scenario& sc,
+                                    std::uint64_t seed,
+                                    std::int64_t max_slots, std::size_t first,
+                                    std::size_t count,
+                                    const std::string& what) {
+  const auto ref = sequential(engine, sc, seed, max_slots, first, count);
+  const auto wide = wide_chunk(engine, sc, seed, max_slots, first, count);
+  for (std::size_t t = 0; t < count; ++t) {
+    expect_outcome_eq(ref[t], wide[t], what + " " + sc.name, t);
+  }
 }
 
 /// Lane counts straddling the group width: below, exact, 1 over, odd
 /// multi-group, and a larger chunk.
 constexpr std::size_t kLaneCounts[] = {1, 3, 4, 5, 7, 29};
 
-TEST(WideBatch, AggregateWideMatchesScalarLanesOnEveryBackend) {
+TEST(WideBatch, AggregateWideMatchesSequentialOnEveryBackend) {
   for (const WideIsa isa : available_isas()) {
     IsaGuard guard(isa);
     for (const Scenario& sc : scenarios()) {
       for (const std::size_t count : kLaneCounts) {
-        const Rng base(0x5eedULL);
-        BatchConfig scalar_cfg{sc.n, 20000, BatchLaneMode::kScalarLanes};
-        BatchConfig wide_cfg{sc.n, 20000, BatchLaneMode::kWide};
-        std::vector<TrialOutcome> scalar(count), wide(count);
-        run_batch_aggregate_trials(sc.spec, sc.adversary, scalar_cfg, base, 2,
-                                   count, scalar.data());
-        run_batch_aggregate_trials(sc.spec, sc.adversary, wide_cfg, base, 2,
-                                   count, wide.data());
-        for (std::size_t t = 0; t < count; ++t) {
-          expect_outcome_eq(scalar[t], wide[t],
-                            std::string(wide_isa_name(isa)) + " " + sc.name,
-                            t);
-        }
+        expect_wide_matches_sequential(Engine::kAggregate, sc, 0x5eedULL,
+                                       20000, 2, count, wide_isa_name(isa));
       }
     }
   }
 }
 
-TEST(WideBatch, HybridWideMatchesScalarLanesOnEveryBackend) {
+TEST(WideBatch, HybridWideMatchesSequentialOnEveryBackend) {
   for (const WideIsa isa : available_isas()) {
     IsaGuard guard(isa);
     for (const Scenario& sc : scenarios()) {
       for (const std::size_t count : kLaneCounts) {
-        const Rng base(0xabcULL);
-        BatchConfig scalar_cfg{sc.n, 40000, BatchLaneMode::kScalarLanes};
-        BatchConfig wide_cfg{sc.n, 40000, BatchLaneMode::kWide};
-        std::vector<TrialOutcome> scalar(count), wide(count);
-        run_batch_hybrid_trials(sc.spec, sc.adversary, scalar_cfg, base, 0,
-                                count, scalar.data());
-        run_batch_hybrid_trials(sc.spec, sc.adversary, wide_cfg, base, 0,
-                                count, wide.data());
-        for (std::size_t t = 0; t < count; ++t) {
-          expect_outcome_eq(scalar[t], wide[t],
-                            std::string(wide_isa_name(isa)) + " " + sc.name,
-                            t);
-        }
+        expect_wide_matches_sequential(Engine::kHybrid, sc, 0xabcULL, 40000,
+                                       0, count, wide_isa_name(isa));
       }
     }
   }
@@ -160,26 +197,67 @@ TEST(WideBatch, CensoredLanesMatchTooOnEveryBackend) {
   for (const WideIsa isa : available_isas()) {
     IsaGuard guard(isa);
     const Scenario sc = scenarios()[1];  // LESK vs saturating, n = 256
-    const Rng base(0x17ULL);
-    BatchConfig scalar_cfg{sc.n, 40, BatchLaneMode::kScalarLanes};
-    BatchConfig wide_cfg{sc.n, 40, BatchLaneMode::kWide};
-    std::vector<TrialOutcome> scalar(6), wide(6);
-    run_batch_aggregate_trials(sc.spec, sc.adversary, scalar_cfg, base, 0, 6,
-                               scalar.data());
-    run_batch_aggregate_trials(sc.spec, sc.adversary, wide_cfg, base, 0, 6,
-                               wide.data());
+    const auto ref = sequential(Engine::kAggregate, sc, 0x17ULL, 40, 0, 6);
+    const auto wide = wide_chunk(Engine::kAggregate, sc, 0x17ULL, 40, 0, 6);
     for (std::size_t t = 0; t < 6; ++t) {
-      expect_outcome_eq(scalar[t], wide[t], wide_isa_name(isa), t);
+      expect_outcome_eq(ref[t], wide[t], wide_isa_name(isa), t);
       ASSERT_FALSE(wide[t].elected);
       ASSERT_EQ(wide[t].slots, 40);
     }
   }
 }
 
-TEST(WideBatch, AutoRoutesThroughMcBitIdenticalToSequential) {
-  // End-to-end through run_*_mc: batch_lanes = kAuto (the default)
-  // goes wide for these lane-invariant policies and must still match
-  // the sequential per-trial reference.
+TEST(WideBatch, HybridCensoredLanesMatchTooOnEveryBackend) {
+  // The weak-CD two-phase engine under the same tiny budget: every lane
+  // censored, with its phase-1/phase-2 accumulators still bit-identical.
+  for (const WideIsa isa : available_isas()) {
+    IsaGuard guard(isa);
+    const Scenario sc = scenarios()[1];  // LESK vs saturating, n = 256
+    const auto ref = sequential(Engine::kHybrid, sc, 0x17ULL, 40, 0, 6);
+    const auto wide = wide_chunk(Engine::kHybrid, sc, 0x17ULL, 40, 0, 6);
+    for (std::size_t t = 0; t < 6; ++t) {
+      expect_outcome_eq(ref[t], wide[t], wide_isa_name(isa), t);
+      ASSERT_FALSE(wide[t].elected);
+      ASSERT_EQ(wide[t].slots, 40);
+    }
+  }
+}
+
+/// A policy name that make_adversary does not know.
+[[nodiscard]] Scenario unknown_policy_scenario() {
+  AdversarySpec bogus;
+  bogus.policy = "no_such_policy";
+  bogus.T = 32;
+  bogus.eps = 0.5;
+  return {"lesk/no_such_policy",
+          [] { return std::make_unique<Lesk>(LeskParams{0.5, 0.0}); }, bogus,
+          64};
+}
+
+TEST(WideBatch, UnknownPolicyIsRefusedByTheAggregateLaneEngine) {
+  // The policy alone picks the lane engine, and only the lane-invariant
+  // set and LaneAdversaryBank::supports policies have one: a chunk under
+  // any other name must throw, as the sequential engine does, rather
+  // than run some third path.
+  const Scenario sc = unknown_policy_scenario();
+  EXPECT_THROW((void)sequential(Engine::kAggregate, sc, 1, 1000, 0, 4),
+               std::invalid_argument);
+  EXPECT_THROW((void)wide_chunk(Engine::kAggregate, sc, 1, 1000, 0, 4),
+               ContractViolation);
+}
+
+TEST(WideBatch, UnknownPolicyIsRefusedByTheHybridLaneEngine) {
+  const Scenario sc = unknown_policy_scenario();
+  EXPECT_THROW((void)sequential(Engine::kHybrid, sc, 1, 1000, 0, 4),
+               std::invalid_argument);
+  EXPECT_THROW((void)wide_chunk(Engine::kHybrid, sc, 1, 1000, 0, 4),
+               ContractViolation);
+}
+
+TEST(WideBatch, McBatchBitIdenticalToSequential) {
+  // End-to-end through run_*_mc: the batch knob goes wide for this
+  // lane-invariant policy and must still match the sequential
+  // per-trial reference.
   const UniformProtocolFactory factory = [] {
     return std::make_unique<Lesk>(LeskParams{0.5, 0.0});
   };
@@ -194,24 +272,19 @@ TEST(WideBatch, AutoRoutesThroughMcBitIdenticalToSequential) {
   seq.parallel = false;
   seq.keep_outcomes = true;
   const McResult reference = run_aggregate_mc(factory, sat, 512, seq);
-  for (const BatchLaneMode mode :
-       {BatchLaneMode::kAuto, BatchLaneMode::kWide,
-        BatchLaneMode::kScalarLanes}) {
-    McConfig cfg = seq;
-    cfg.batch = 8;
-    cfg.batch_lanes = mode;
-    const McResult batched = run_aggregate_mc(factory, sat, 512, cfg);
-    ASSERT_EQ(batched.outcomes.size(), reference.outcomes.size());
-    for (std::size_t t = 0; t < reference.outcomes.size(); ++t) {
-      expect_outcome_eq(reference.outcomes[t], batched.outcomes[t], "mc", t);
-    }
+  McConfig cfg = seq;
+  cfg.batch = 8;
+  const McResult batched = run_aggregate_mc(factory, sat, 512, cfg);
+  ASSERT_EQ(batched.outcomes.size(), reference.outcomes.size());
+  for (std::size_t t = 0; t < reference.outcomes.size(); ++t) {
+    expect_outcome_eq(reference.outcomes[t], batched.outcomes[t], "mc", t);
   }
 }
 
-TEST(WideBatch, AutoGoesWideForAdaptivePoliciesBitIdentical) {
-  // bernoulli draws its jam schedule from a per-lane rng; kAuto now
-  // routes it onto the per-lane SoA wide engine — and must still match
-  // the sequential reference bit for bit.
+TEST(WideBatch, AdaptivePolicyGoesWideBitIdentical) {
+  // bernoulli draws its jam schedule from a per-lane rng; the batch
+  // knob routes it onto the per-lane SoA wide engine — and must still
+  // match the sequential reference bit for bit.
   const UniformProtocolFactory factory = [] {
     return std::make_unique<Lesu>(LesuParams{});
   };
@@ -227,40 +300,27 @@ TEST(WideBatch, AutoGoesWideForAdaptivePoliciesBitIdentical) {
   seq.keep_outcomes = true;
   const McResult reference = run_aggregate_mc(factory, bern, 256, seq);
   McConfig cfg = seq;
-  cfg.batch = 8;  // batch_lanes stays kAuto
+  cfg.batch = 8;
   const McResult batched = run_aggregate_mc(factory, bern, 256, cfg);
   for (std::size_t t = 0; t < reference.outcomes.size(); ++t) {
-    expect_outcome_eq(reference.outcomes[t], batched.outcomes[t], "auto", t);
+    expect_outcome_eq(reference.outcomes[t], batched.outcomes[t], "mc", t);
   }
 }
 
-TEST(WideBatch, ForcingWideWithAdaptivePolicyMatchesScalarLanes) {
-  // kWide used to reject adaptive policies outright; the per-lane SoA
-  // bank made it legal. The contract is now bit-identity with the
-  // scalar lane path, on both CD modes.
+TEST(WideBatch, AdaptivePolicyChunkMatchesSequentialBothCdModes) {
+  // A bare chunk under an adaptive policy runs on the LaneAdversaryBank
+  // engines; both CD modes must match the sequential trials.
   AdversarySpec bern;
   bern.policy = "bernoulli";
   bern.T = 64;
   bern.eps = 0.25;
-  const BatchKernelSpec spec{LeskParams{0.5, 0.0}};
-  const BatchConfig scalar_cfg{64, 20000, BatchLaneMode::kScalarLanes};
-  const BatchConfig wide_cfg{64, 20000, BatchLaneMode::kWide};
-  const Rng base(1);
-  constexpr std::size_t kCount = 9;
-  std::vector<TrialOutcome> scalar(kCount), wide(kCount);
-  run_batch_aggregate_trials(spec, bern, scalar_cfg, base, 0, kCount,
-                             scalar.data());
-  run_batch_aggregate_trials(spec, bern, wide_cfg, base, 0, kCount,
-                             wide.data());
-  for (std::size_t t = 0; t < kCount; ++t) {
-    expect_outcome_eq(scalar[t], wide[t], "aggregate kWide/bernoulli", t);
-  }
-  run_batch_hybrid_trials(spec, bern, scalar_cfg, base, 0, kCount,
-                          scalar.data());
-  run_batch_hybrid_trials(spec, bern, wide_cfg, base, 0, kCount, wide.data());
-  for (std::size_t t = 0; t < kCount; ++t) {
-    expect_outcome_eq(scalar[t], wide[t], "hybrid kWide/bernoulli", t);
-  }
+  const Scenario sc{"lesk/bernoulli",
+                    [] { return std::make_unique<Lesk>(LeskParams{0.5, 0.0}); },
+                    bern, 64};
+  expect_wide_matches_sequential(Engine::kAggregate, sc, 1, 20000, 0, 9,
+                                 "aggregate");
+  expect_wide_matches_sequential(Engine::kHybrid, sc, 1, 20000, 0, 9,
+                                 "hybrid");
 }
 
 TEST(WideBatch, WideSlotCountersRollUp) {
@@ -282,7 +342,6 @@ TEST(WideBatch, WideSlotCountersRollUp) {
   cfg.max_slots = 20000;
   cfg.parallel = false;
   cfg.batch = 8;
-  cfg.batch_lanes = BatchLaneMode::kWide;
   (void)run_aggregate_mc(factory, none, 64, cfg);
   const auto snap = reg.aggregate();
   reg.set_enabled(was_enabled);

@@ -96,7 +96,6 @@ jamelect::McResult run_workload(const Workload& w, jamelect::ThreadPool* pool,
   config.max_slots = w.max_slots;
   config.parallel = parallel;
   config.batch = w.batch;
-  config.batch_lanes = jamelect::BatchLaneMode::kWide;
   config.pool = pool;
   const double eps = w.eps;
   return run_aggregate_mc(
