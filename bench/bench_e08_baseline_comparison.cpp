@@ -120,12 +120,12 @@ void E08_ArssLargeN(benchmark::State& state) {
   std::vector<double> slots, jams, energy;
   std::size_t successes = 0;
   for (auto _ : state) {
-    slots.clear();
-    jams.clear();
-    energy.clear();
-    successes = 0;
+    // Trial t's streams derive from base.child(t) alone, so the pool
+    // runs trials in any order and the summary below stays in trial
+    // order.
     const Rng base(0xE08F);
-    for (std::size_t t = 0; t < kTrials; ++t) {
+    std::vector<TrialOutcome> outcomes(kTrials);
+    global_pool().parallel_for(kTrials, [&](std::size_t t) {
       ArssFlockConfig config;
       config.n = n;
       config.params.gamma = gamma;
@@ -135,7 +135,13 @@ void E08_ArssLargeN(benchmark::State& state) {
       Rng rng = base.child(t);
       auto adv = make_adversary(spec, rng.child(1));
       Rng sim = rng.child(2);
-      const auto out = run_arss_flock(config, *adv, sim);
+      outcomes[t] = run_arss_flock(config, *adv, sim);
+    });
+    slots.clear();
+    jams.clear();
+    energy.clear();
+    successes = 0;
+    for (const TrialOutcome& out : outcomes) {
       successes += out.elected ? 1 : 0;
       slots.push_back(static_cast<double>(out.slots));
       jams.push_back(static_cast<double>(out.jams));

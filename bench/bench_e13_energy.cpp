@@ -42,6 +42,7 @@ void E13_ArssEnergy(benchmark::State& state) {
   const int jam = static_cast<int>(state.range(1));
   AdversarySpec adv = adversary(jam ? "saturating" : "none", kT, kEps);
   McConfig cfg = mc(0xE13, 1 << 19, 5);
+  cfg.batch = 4;  // station lanes (sim/station_batch.hpp); bit-identical
   const double gamma = arss_gamma(n, kT);
   McResult res;
   for (auto _ : state) {

@@ -70,6 +70,7 @@ totals = {"mc.batch_fallbacks": 0,
           "engine.batch.hybrid_chunks": 0,
           "engine.batch.station_chunks": 0,
           "engine.batch.cohort_chunks": 0,
+          "engine.station.lockstep_exits": 0,
           "binom.regime.loop": 0,
           "binom.regime.inversion": 0,
           "binom.regime.btpe": 0}
@@ -102,6 +103,7 @@ print(f"     .cohort                     {totals['mc.batch_fallback.cohort']}")
 print(f"   batched chunks                {chunks}")
 print(f"   mc.batch_wide_slots           {wide}")
 print(f"   mc.batch_scalar_slots         {scalar}")
+print(f"   engine.station.lockstep_exits {totals['engine.station.lockstep_exits']}")
 if slots:
     print(f"   wide share                    {wide / slots:.1%}")
 regimes = (totals["binom.regime.loop"] + totals["binom.regime.inversion"] +

@@ -50,6 +50,10 @@ struct ArssKernel {
                      params.initial_p <= params.p_max);
   }
 
+  /// Field-for-field equality: the station lanes keep one shared
+  /// kernel while every station's state compares equal.
+  friend bool operator==(const ArssKernel&, const ArssKernel&) = default;
+
   [[nodiscard]] double transmit_probability() const noexcept {
     return done ? 0.0 : p;
   }

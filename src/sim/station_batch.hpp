@@ -1,17 +1,20 @@
-// Batched station engine: devirtualized SlotEngine trials for
-// kernelizable station protocols (currently ARSS).
+// Station lanes: batched SlotEngine trials for kernelizable station
+// protocols (currently ARSS).
 //
 // The per-station SlotEngine draws one bernoulli per station per slot
-// from a SINGLE trial rng, in station order — a serial dependency chain
-// that rules out the SoA lane treatment the uniform protocols get. What
-// CAN go: the virtual dispatch (transmit_probability / feedback through
-// StationProtocol vtables), the per-station unique_ptr indirection, and
-// the annotation branches. This engine replays SlotEngine::run over a
-// flat vector of POD ArssKernels (baselines/arss_kernel.hpp),
-// expression for expression, so each TrialOutcome is bit-identical to
-// the SlotEngine's for the same (seed, trial index) — the contract
-// run_station_mc relies on to route batched sweeps here
-// (tests/baseline_kernel_test.cpp locks it).
+// from a single trial rng, in station order. While every station of a
+// trial holds the same state ("lockstep"), that chain only matters
+// through its transmitter count, so a lockstep trial keeps one shared
+// POD ArssKernel (baselines/arss_kernel.hpp) and counts its n coins;
+// four trials at a time run as the lanes of one WideXoshiro group, one
+// fused count_below pass per slot. A slot that splits the stations
+// into two states replays its coins from the saved pre-slot state to
+// place them, and the trial finishes on the per-station loop — the
+// exact loop of SlotEngine::run over a flat vector of kernels. Either
+// way each TrialOutcome is bit-identical to the SlotEngine's for the
+// same (seed, trial index) — the contract run_station_mc relies on to
+// route batched sweeps here (tests/baseline_kernel_test.cpp locks it).
+// docs/ENGINES.md gives the lockstep rule and the exit in full.
 //
 // Randomness derivation matches run_station_mc's sequential runner:
 // trial k uses base.child(first + k), its adversary derives from

@@ -20,6 +20,11 @@ void uniform_groups2_avx2(std::uint64_t* s0, std::uint64_t* s1,
                           std::uint64_t* s2, std::uint64_t* s3,
                           std::size_t groups, double* out_u,
                           double* out_v) noexcept;
+void count_below_avx2(std::uint64_t* s0, std::uint64_t* s1, std::uint64_t* s2,
+                      std::uint64_t* s3, std::uint64_t steps,
+                      const std::uint8_t* mask,
+                      const std::uint64_t* thresholds,
+                      std::uint64_t* counts) noexcept;
 #endif
 
 namespace {
@@ -51,6 +56,37 @@ void uniform_groups2_scalar4(std::uint64_t* s0, std::uint64_t* s1,
   for (std::size_t k = 0; k < lanes; ++k) {
     out_u[k] = to_uniform(step1(s0[k], s1[k], s2[k], s3[k]));
     out_v[k] = to_uniform(step1(s0[k], s1[k], s2[k], s3[k]));
+  }
+}
+
+void count_below_scalar4(std::uint64_t* s0, std::uint64_t* s1,
+                         std::uint64_t* s2, std::uint64_t* s3,
+                         std::uint64_t steps, const std::uint8_t* mask,
+                         const std::uint64_t* thresholds,
+                         std::uint64_t* counts) noexcept {
+  // Mirrors the AVX2 kernel: all four lanes step in locals (four
+  // independent chains), and only masked lanes store their state back.
+  std::uint64_t a[kWideLanes], b[kWideLanes], c[kWideLanes], d[kWideLanes];
+  std::uint64_t below[kWideLanes] = {};
+  for (std::size_t k = 0; k < kWideLanes; ++k) {
+    a[k] = s0[k];
+    b[k] = s1[k];
+    c[k] = s2[k];
+    d[k] = s3[k];
+  }
+  for (std::uint64_t i = 0; i < steps; ++i) {
+    for (std::size_t k = 0; k < kWideLanes; ++k) {
+      below[k] += step1(a[k], b[k], c[k], d[k]) < thresholds[k] ? 1 : 0;
+    }
+  }
+  for (std::size_t k = 0; k < kWideLanes; ++k) {
+    counts[k] = 0;
+    if (mask[k] == 0) continue;
+    s0[k] = a[k];
+    s1[k] = b[k];
+    s2[k] = c[k];
+    s3[k] = d[k];
+    counts[k] = below[k];
   }
 }
 
@@ -141,6 +177,24 @@ void WideXoshiro::uniform_groups2(std::size_t groups, double* out_u,
 #endif
   wide_detail::uniform_groups2_scalar4(plane(0), plane(1), plane(2), plane(3),
                                        groups, out_u, out_v);
+}
+
+void WideXoshiro::count_below(std::size_t group, std::uint64_t steps,
+                              const std::uint8_t* mask,
+                              const std::uint64_t* thresholds,
+                              std::uint64_t* counts) noexcept {
+  const std::size_t i = group * kWideLanes;
+#if defined(JAMELECT_WIDE_AVX2)
+  if (isa_ == WideIsa::kAvx2) {
+    wide_detail::count_below_avx2(plane(0) + i, plane(1) + i, plane(2) + i,
+                                  plane(3) + i, steps, mask, thresholds,
+                                  counts);
+    return;
+  }
+#endif
+  wide_detail::count_below_scalar4(plane(0) + i, plane(1) + i, plane(2) + i,
+                                   plane(3) + i, steps, mask, thresholds,
+                                   counts);
 }
 
 }  // namespace jamelect

@@ -20,6 +20,7 @@
 // environment override.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -61,6 +62,18 @@ void set_wide_isa_for_testing(WideIsa isa);
 /// Test hook: drop the pin/cache; the next active_wide_isa() call
 /// re-resolves from the environment and cpuid.
 void reset_wide_isa_for_testing() noexcept;
+
+/// Raw-word threshold of a Bernoulli(p) draw, for p in (0, 1):
+/// Rng::bernoulli(p) fires iff the raw xoshiro word is below it.
+/// uniform() < p means (raw >> 11) < p * 2^53; for the integer
+/// raw >> 11 that is (raw >> 11) < ceil(p * 2^53), i.e.
+/// raw < ceil(p * 2^53) << 11. Both steps are exact: scaling by 2^53
+/// and ceil lose nothing, and p <= 1 - 2^-53 keeps the shift below
+/// 2^64. (p <= 0 and p >= 1 draw nothing in Rng::bernoulli.)
+[[nodiscard]] inline std::uint64_t bernoulli_threshold(double p) {
+  JAMELECT_EXPECTS(p > 0.0 && p < 1.0);
+  return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53))) << 11;
+}
 
 class WideXoshiro {
  public:
@@ -143,6 +156,16 @@ class WideXoshiro {
   /// order); fused so the state planes are loaded and stored once.
   void uniform_groups2(std::size_t groups, double* out_u,
                        double* out_v) noexcept;
+
+  /// Fused Bernoulli count over one group: each lane k of group
+  /// `group` (lanes [group * kWideLanes, +kWideLanes)) with mask[k] != 0
+  /// draws `steps` raw words and counts[k] gets how many fell strictly
+  /// below thresholds[k] (see bernoulli_threshold). Unmasked lanes keep
+  /// their stream position and get counts[k] = 0. Each array holds
+  /// kWideLanes entries; both backends give identical counts.
+  void count_below(std::size_t group, std::uint64_t steps,
+                   const std::uint8_t* mask, const std::uint64_t* thresholds,
+                   std::uint64_t* counts) noexcept;
 
  private:
   std::size_t lanes_;

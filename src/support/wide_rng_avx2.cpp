@@ -83,4 +83,36 @@ void uniform_masked_avx2(std::uint64_t* s0, std::uint64_t* s1,
   }
 }
 
+void count_below_avx2(std::uint64_t* s0, std::uint64_t* s1, std::uint64_t* s2,
+                      std::uint64_t* s3, std::uint64_t steps,
+                      const std::uint8_t* mask,
+                      const std::uint64_t* thresholds,
+                      std::uint64_t* counts) noexcept {
+  // AVX2 compares only signed 64-bit words; flipping the sign bit of
+  // both sides turns the unsigned raw < threshold into a signed one.
+  const __m256i sign = _mm256_set1_epi64x(INT64_MIN);
+  const __m256i limit = _mm256_xor_si256(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(thresholds)), sign);
+  __m256i v0 = _mm256_loadu_si256(reinterpret_cast<__m256i*>(s0));
+  __m256i v1 = _mm256_loadu_si256(reinterpret_cast<__m256i*>(s1));
+  __m256i v2 = _mm256_loadu_si256(reinterpret_cast<__m256i*>(s2));
+  __m256i v3 = _mm256_loadu_si256(reinterpret_cast<__m256i*>(s3));
+  __m256i below = _mm256_setzero_si256();
+  for (std::uint64_t i = 0; i < steps; ++i) {
+    const __m256i x = _mm256_xor_si256(step4_avx2(v0, v1, v2, v3), sign);
+    // The compare yields -1 per lane where x < limit.
+    below = _mm256_sub_epi64(below, _mm256_cmpgt_epi64(limit, x));
+  }
+  // Every lane stepped in registers; only masked lanes keep the result.
+  const __m256i keep = _mm256_set_epi64x(
+      mask[3] != 0 ? -1 : 0, mask[2] != 0 ? -1 : 0, mask[1] != 0 ? -1 : 0,
+      mask[0] != 0 ? -1 : 0);
+  _mm256_maskstore_epi64(reinterpret_cast<long long*>(s0), keep, v0);
+  _mm256_maskstore_epi64(reinterpret_cast<long long*>(s1), keep, v1);
+  _mm256_maskstore_epi64(reinterpret_cast<long long*>(s2), keep, v2);
+  _mm256_maskstore_epi64(reinterpret_cast<long long*>(s3), keep, v3);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(counts),
+                      _mm256_and_si256(below, keep));
+}
+
 }  // namespace jamelect::wide_detail

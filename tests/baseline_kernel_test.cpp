@@ -11,7 +11,9 @@
 // batch router emits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,6 +31,8 @@
 #include "protocols/uniform_station.hpp"
 #include "sim/montecarlo.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
+#include "support/wide_rng.hpp"
 
 namespace jamelect {
 namespace {
@@ -240,17 +244,75 @@ TEST(BaselineKernels, BaselinesTakeTheBatchPathWithoutFallback) {
   EXPECT_GT(snap.counters.at("mc.batch_wide_slots"), 0);
 }
 
-TEST(BaselineKernels, StationBatchMatchesSequentialAcrossStopRules) {
-  // ARSS through the devirtualized station chunks vs the sequential
-  // SlotEngine: both stop rules, jamming off/invariant/adaptive, tail
-  // chunk exercised. (ARSS is strong-CD only: its feedback contract
-  // rejects the weak-CD kNoSingle observation.)
-  const std::uint64_t n = 24;
-  const auto factory = [&](StationId) -> StationProtocolPtr {
-    ArssParams params;
-    params.gamma = arss_gamma(n, 16);
+// ---------- station lanes vs the sequential SlotEngine ----------
+
+/// Backends available on this machine: scalar4 always, avx2 if usable.
+[[nodiscard]] std::vector<WideIsa> available_isas() {
+  std::vector<WideIsa> isas{WideIsa::kScalar4};
+  if (wide_avx2_supported()) isas.push_back(WideIsa::kAvx2);
+  return isas;
+}
+
+/// Pins the wide backend for the duration of a scope.
+class IsaGuard {
+ public:
+  explicit IsaGuard(WideIsa isa) { set_wide_isa_for_testing(isa); }
+  ~IsaGuard() { reset_wide_isa_for_testing(); }
+  IsaGuard(const IsaGuard&) = delete;
+  IsaGuard& operator=(const IsaGuard&) = delete;
+};
+
+using StationFactory = std::function<StationProtocolPtr(StationId)>;
+
+[[nodiscard]] StationFactory arss_stations(ArssParams params) {
+  return [params](StationId) -> StationProtocolPtr {
     return std::make_unique<ArssStation>(params);
   };
+}
+
+/// 9 trials through the station lanes at batch 1, 3, 4, 5 and 7 (full
+/// and partial lane groups), on every wide backend and at pool widths 1
+/// and 3, each outcome bit-identical to the sequential SlotEngine
+/// (batch = 0).
+void expect_station_lanes_match_sequential(const StationFactory& factory,
+                                           const AdversarySpec& adv,
+                                           std::uint64_t n,
+                                           const EngineConfig& engine,
+                                           const std::string& what) {
+  McConfig seq;
+  seq.trials = 9;
+  seq.seed = 0xa155ULL + n;
+  seq.max_slots = engine.max_slots;
+  seq.parallel = false;
+  seq.keep_outcomes = true;
+  const McResult ref = run_station_mc(factory, adv, n, engine, seq);
+  ASSERT_EQ(ref.outcomes.size(), seq.trials);
+  ThreadPool pool1(1);
+  ThreadPool pool3(3);
+  for (const WideIsa isa : available_isas()) {
+    const IsaGuard guard(isa);
+    for (const std::size_t batch : {1u, 3u, 4u, 5u, 7u}) {
+      for (ThreadPool* pool : {&pool1, &pool3}) {
+        McConfig batched = seq;
+        batched.batch = batch;
+        batched.parallel = true;
+        batched.pool = pool;
+        const McResult bat = run_station_mc(factory, adv, n, engine, batched);
+        const std::string where =
+            what + " n=" + std::to_string(n) + " " + wide_isa_name(isa) +
+            " batch=" + std::to_string(batch) +
+            " pool=" + std::to_string(pool->size());
+        ASSERT_EQ(ref.outcomes.size(), bat.outcomes.size()) << where;
+        for (std::size_t t = 0; t < ref.outcomes.size(); ++t) {
+          expect_outcome_eq(ref.outcomes[t], bat.outcomes[t], where, t);
+        }
+      }
+    }
+  }
+}
+
+/// No jamming, a lane-invariant jammer and an adaptive one.
+[[nodiscard]] std::vector<AdversarySpec> station_policies() {
   std::vector<AdversarySpec> policies;
   policies.emplace_back();  // "none"
   {
@@ -268,26 +330,94 @@ TEST(BaselineKernels, StationBatchMatchesSequentialAcrossStopRules) {
     bern.q = 0.3;
     policies.push_back(bern);
   }
-  for (const StopRule stop : {StopRule::kAllDone, StopRule::kFirstSingle}) {
-    for (const AdversarySpec& adv : policies) {
-      const EngineConfig engine{CdMode::kStrong, stop, 30000};
-      McConfig seq;
-      seq.trials = 9;
-      seq.seed = 0xa155ULL;
-      seq.max_slots = engine.max_slots;
-      seq.parallel = false;
-      seq.keep_outcomes = true;
-      McConfig batched = seq;
-      batched.batch = 4;
-      const McResult ref = run_station_mc(factory, adv, n, engine, seq);
-      const McResult bat = run_station_mc(factory, adv, n, engine, batched);
-      const std::string what =
-          adv.policy + (stop == StopRule::kAllDone ? "/all_done"
-                                                   : "/first_single");
-      ASSERT_EQ(ref.outcomes.size(), bat.outcomes.size());
-      for (std::size_t t = 0; t < ref.outcomes.size(); ++t) {
-        expect_outcome_eq(ref.outcomes[t], bat.outcomes[t], what, t);
+  return policies;
+}
+
+[[nodiscard]] const char* stop_name(StopRule stop) {
+  return stop == StopRule::kAllDone ? "all_done" : "first_single";
+}
+
+TEST(BaselineKernels, StationBatchMatchesSequentialAcrossStopRules) {
+  // ARSS through the station lanes vs the sequential SlotEngine: both
+  // stop rules, jamming off/invariant/adaptive. Elections under strong
+  // CD stay in lockstep until the deciding Single. (ARSS runs under
+  // strong and weak CD; only no-CD's kNoSingle observation is outside
+  // its feedback contract.)
+  for (const std::uint64_t n : {1u, 2u, 5u, 24u, 257u}) {
+    ArssParams params;
+    params.gamma = arss_gamma(std::max<std::uint64_t>(n, 2), 16);
+    for (const StopRule stop : {StopRule::kAllDone, StopRule::kFirstSingle}) {
+      for (const AdversarySpec& adv : station_policies()) {
+        expect_station_lanes_match_sequential(
+            arss_stations(params), adv, n, {CdMode::kStrong, stop, 30000},
+            adv.policy + "/" + stop_name(stop));
       }
+    }
+  }
+}
+
+TEST(BaselineKernels, StationLanesLeaveLockstepBitIdentical) {
+  // Trials whose population splits mid-run: the lanes replay the split
+  // slot's coins and finish on the per-station loop.
+  for (const std::uint64_t n : {2u, 5u, 24u}) {
+    ArssParams params;
+    params.gamma = arss_gamma(n, 16);
+    for (const AdversarySpec& adv : station_policies()) {
+      // Plain MAC: a Single moves the listeners' p but not the
+      // transmitter's, and nobody ever finishes.
+      ArssParams mac = params;
+      mac.elect_on_single = false;
+      for (const StopRule stop :
+           {StopRule::kAllDone, StopRule::kFirstSingle}) {
+        expect_station_lanes_match_sequential(
+            arss_stations(mac), adv, n, {CdMode::kStrong, stop, 600},
+            "mac/" + adv.policy + "/" + stop_name(stop));
+      }
+      // Weak CD: the Single's transmitter observes Collision, so only
+      // the listeners finish; kAllDone then runs to the slot cap.
+      expect_station_lanes_match_sequential(
+          arss_stations(params), adv, n,
+          {CdMode::kWeak, StopRule::kFirstSingle, 30000},
+          "weak/" + adv.policy + "/first_single");
+      expect_station_lanes_match_sequential(
+          arss_stations(params), adv, n,
+          {CdMode::kWeak, StopRule::kAllDone, 300},
+          "weak/" + adv.policy + "/all_done");
+    }
+  }
+}
+
+TEST(BaselineKernels, StationLanesWithoutLockstepBitIdentical) {
+  // Odd stations get a different gamma: the population is never
+  // uniform, so every trial runs on the per-station loop from slot 0.
+  const std::uint64_t n = 24;
+  const StationFactory mixed = [n](StationId i) -> StationProtocolPtr {
+    ArssParams params;
+    params.gamma = arss_gamma(n, i % 2 == 0 ? 16 : 64);
+    return std::make_unique<ArssStation>(params);
+  };
+  for (const AdversarySpec& adv : station_policies()) {
+    for (const StopRule stop : {StopRule::kAllDone, StopRule::kFirstSingle}) {
+      expect_station_lanes_match_sequential(
+          mixed, adv, n, {CdMode::kStrong, stop, 30000},
+          "mixed/" + adv.policy + "/" + stop_name(stop));
+    }
+  }
+}
+
+TEST(BaselineKernels, StationLanesAtCertainTransmissionBitIdentical) {
+  // initial_p = p_max = 1: every station transmits and nothing is drawn
+  // until the threshold escape hatch first lowers p.
+  for (const std::uint64_t n : {1u, 2u, 5u}) {
+    ArssParams params;
+    params.gamma = arss_gamma(std::max<std::uint64_t>(n, 2), 16);
+    params.p_max = 1.0;
+    params.initial_p = 1.0;
+    for (const StopRule stop : {StopRule::kAllDone, StopRule::kFirstSingle}) {
+      expect_station_lanes_match_sequential(
+          arss_stations(params), AdversarySpec{}, n,
+          {CdMode::kStrong, stop, 30000},
+          std::string("certain/") + stop_name(stop));
     }
   }
 }
@@ -336,6 +466,18 @@ TEST(BaselineKernels, StationFallbackReasonsAreLabeled) {
   // Kernelizable run: no new fallback, station chunks counted.
   (void)run_station_mc(arss_factory, none, n,
                        {CdMode::kStrong, StopRule::kAllDone, 20000}, cfg);
+  const auto elect_snap = reg.aggregate();
+
+  // Plain-MAC run: the first Single splits the population, so trials
+  // leave lockstep and finish on the per-station loop.
+  (void)run_station_mc(
+      [&](StationId) -> StationProtocolPtr {
+        ArssParams params;
+        params.gamma = arss_gamma(n, 16);
+        params.elect_on_single = false;
+        return std::make_unique<ArssStation>(params);
+      },
+      none, n, {CdMode::kStrong, StopRule::kAllDone, 2000}, cfg);
 
   const auto snap = reg.aggregate();
   reg.set_enabled(was_enabled);
@@ -349,7 +491,11 @@ TEST(BaselineKernels, StationFallbackReasonsAreLabeled) {
   EXPECT_EQ(snap.counters.at("mc.batch_fallback.adversary"), 0);
   EXPECT_EQ(snap.counters.at("mc.batch_fallbacks"), 2);
   EXPECT_GT(snap.counters.at("engine.batch.station_chunks"), 0);
-  // Station lanes step one trial at a time: they count as scalar slots.
+  // Elections stay in lockstep to the end: wide lane-slots only.
+  EXPECT_GT(elect_snap.counters.at("mc.batch_wide_slots"), 0);
+  EXPECT_EQ(elect_snap.counters.at("mc.batch_scalar_slots"), 0);
+  EXPECT_EQ(elect_snap.counters.at("engine.station.lockstep_exits"), 0);
+  EXPECT_GT(snap.counters.at("engine.station.lockstep_exits"), 0);
   EXPECT_GT(snap.counters.at("mc.batch_scalar_slots"), 0);
 }
 

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "support/rng.hpp"
@@ -120,6 +123,89 @@ TEST(WideRng, MoveLaneCopiesTheStream) {
   wide.move_lane(1, 4);
   for (int step = 0; step < 50; ++step) {
     ASSERT_EQ(wide.next_lane(1), twin.next_u64());
+  }
+}
+
+/// Probabilities at the edges of the raw-word threshold: powers of two
+/// (exact multiples of 2^-53 and below), the largest double under 1,
+/// the smallest normal and subnormal doubles, and generic values.
+[[nodiscard]] std::vector<double> edge_probabilities() {
+  std::vector<double> ps;
+  for (const int k : {1, 2, 3, 11, 24, 52, 53, 54, 60}) {
+    ps.push_back(std::ldexp(1.0, -k));
+  }
+  ps.push_back(1.0 - 0x1.0p-53);
+  ps.push_back(std::numeric_limits<double>::min());
+  ps.push_back(std::numeric_limits<double>::denorm_min());
+  ps.push_back(1.0 / 24.0);
+  ps.push_back(0.3);
+  ps.push_back(std::nextafter(0.5, 0.0));
+  return ps;
+}
+
+TEST(WideRng, BernoulliThresholdMatchesUniformCompare) {
+  // raw < bernoulli_threshold(p) must agree with uniform() < p on every
+  // raw word: probe the words around each threshold and across one
+  // (raw >> 11) step, the extremes, and random words.
+  Rng words(0x7e57);
+  for (const double p : edge_probabilities()) {
+    const std::uint64_t t = bernoulli_threshold(p);
+    std::vector<std::uint64_t> raws = {0,        1,        t - 1,
+                                       t,        t + 1,    t - 2048,
+                                       t + 2047, t + 2048, ~0ULL,
+                                       ~0ULL - 2047};
+    for (int i = 0; i < 20000; ++i) raws.push_back(words.next_u64());
+    for (const std::uint64_t raw : raws) {
+      ASSERT_EQ(raw < t, wide_detail::to_uniform(raw) < p)
+          << "p " << p << " raw " << raw;
+    }
+  }
+}
+
+TEST(WideRng, CountBelowMatchesPerLaneBernoulliOnEveryBackend) {
+  const std::vector<double> ps = edge_probabilities();
+  for (const WideIsa isa : available_isas()) {
+    IsaGuard guard(isa);
+    // Counts run on group 1; group 0 must never move.
+    WideXoshiro wide(8);
+    std::vector<Rng> twins;
+    for (std::size_t k = 0; k < 8; ++k) {
+      wide.seed_lane(k, 0x5eed + 31 * k);
+      twins.emplace_back(0x5eed + 31 * k);
+    }
+    std::array<std::uint8_t, kWideLanes> mask{1, 1, 1, 1};
+    std::array<std::uint64_t, kWideLanes> thresholds{};
+    std::array<std::uint64_t, kWideLanes> counts{};
+    std::array<double, kWideLanes> p{};
+    for (int slot = 0; slot < 300; ++slot) {
+      if (slot == 120) mask[2] = 0;  // lane 6 goes dead mid-group
+      // Single draws most slots (draw for draw), longer runs between;
+      // slot 7 draws nothing.
+      const std::uint64_t steps =
+          slot == 7 ? 0 : (slot % 3 == 0 ? 1 + slot % 41 : 1);
+      for (std::size_t k = 0; k < kWideLanes; ++k) {
+        p[k] = ps[(static_cast<std::size_t>(slot) + 5 * k) % ps.size()];
+        thresholds[k] = bernoulli_threshold(p[k]);
+      }
+      wide.count_below(1, steps, mask.data(), thresholds.data(),
+                       counts.data());
+      for (std::size_t k = 0; k < kWideLanes; ++k) {
+        std::uint64_t expected = 0;
+        if (mask[k] != 0) {
+          for (std::uint64_t i = 0; i < steps; ++i) {
+            expected += twins[4 + k].bernoulli(p[k]) ? 1 : 0;
+          }
+        }
+        ASSERT_EQ(counts[k], expected)
+            << wide_isa_name(isa) << " lane " << 4 + k << " slot " << slot;
+      }
+    }
+    // Every stream sits where its twin's does: the dead lane stopped at
+    // slot 120 and group 0 never moved.
+    for (std::size_t k = 0; k < 8; ++k) {
+      ASSERT_EQ(wide.next_lane(k), twins[k].next_u64())
+          << wide_isa_name(isa) << " lane " << k;
+    }
   }
 }
 
