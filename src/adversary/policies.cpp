@@ -1,6 +1,7 @@
 #include "adversary/policies.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 namespace jamelect {
@@ -26,6 +27,8 @@ bool BernoulliPolicy::desires_jam(Slot, const JammingBudget&) {
 PulsePolicy::PulsePolicy(std::int64_t on, std::int64_t off) : on_(on), off_(off) {
   JAMELECT_EXPECTS(on >= 1);
   JAMELECT_EXPECTS(off >= 0);
+  // desires_jam reduces the slot modulo on + off.
+  JAMELECT_EXPECTS(off <= std::numeric_limits<std::int64_t>::max() - on);
 }
 
 bool PulsePolicy::desires_jam(Slot slot, const JammingBudget&) {

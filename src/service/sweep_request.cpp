@@ -1,6 +1,7 @@
 #include "service/sweep_request.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "obs/build_info.hpp"
@@ -105,6 +106,7 @@ bool SweepRequest::validate(const SweepLimits& limits,
     return fail("unknown adversary policy '" + adversary + "'");
   }
   if (n < 1 || n > limits.max_n) return fail("n out of range");
+  if (engine == "hybrid" && n < 3) return fail("hybrid needs n >= 3");
   if (!(eps > 0.0) || eps > 1.0) return fail("eps must be in (0, 1]");
   if (protocol == "uniform" && u != -1.0 && u < 0.0) {
     return fail("u must be >= 0 (or -1 for log2(n))");
@@ -112,6 +114,13 @@ bool SweepRequest::validate(const SweepLimits& limits,
   if (!(c > 0.0)) return fail("c must be > 0");
   if (T < 1) return fail("T must be >= 1");
   if (q < 0.0 || q > 1.0) return fail("q must be in [0, 1]");
+  if (adversary == "pulse") {
+    if (on < 1) return fail("pulse on must be >= 1");
+    if (off < 0) return fail("pulse off must be >= 0");
+    if (off > std::numeric_limits<std::int64_t>::max() - on) {
+      return fail("pulse on + off overflows");
+    }
+  }
   if (trials < 1 || trials > limits.max_trials) {
     return fail("trials out of range (1.." +
                 std::to_string(limits.max_trials) + ")");

@@ -59,19 +59,6 @@ void record_state(TrialOutcome& o, ChannelState state) {
   }
 }
 
-/// Policies whose jam schedule is a deterministic function of (slot,
-/// own budget) alone — no rng draws, no observe() feedback — produce
-/// the identical bit sequence in every lane, so one adversary instance
-/// can serve the whole chunk with a single step() per slot. Every
-/// other built-in policy (bernoulli, single_denial, collision_forcer)
-/// is adaptive and runs on per-lane state in a LaneAdversaryBank;
-/// make_adversary rejects any name outside these two sets.
-[[nodiscard]] bool lane_invariant_policy(const AdversarySpec& spec) {
-  return spec.policy == "none" || spec.policy == "saturating" ||
-         spec.policy == "periodic" || spec.policy == "pulse" ||
-         spec.policy == "interval_buster";
-}
-
 /// Per-thread reusable chunk state for the multi-core orchestrator.
 ///
 /// SlotProbCache entries are pure functions of (n, u) — protocol- and
@@ -174,18 +161,28 @@ enum class HybridPhase : std::uint8_t { kP1, kP2, kP3, kP4, kDone };
 /// every slot advancing all lanes through one fused primitive
 /// (sim/batch_wide.hpp): a vector xoshiro step, branch-free
 /// classification against cached thresholds, and masked accumulator
-/// updates. Requires a lane-invariant adversary (one shared jam bit per
-/// slot). Finished lanes retire in a post-sweep compaction pass; lanes
-/// are mutually independent within a slot (the only shared state, the
-/// adversary, steps once per slot), so retirement order cannot change
-/// a result.
+/// updates. Finished lanes retire in a post-sweep compaction pass;
+/// lanes are mutually independent within a slot, so retirement order
+/// cannot change a result.
 ///
-/// Per-lane nulls/singles/transmissions live in SoA accumulators;
-/// slots and jams are chunk-shared scalars (lockstep + shared jam bit
-/// make them identical across live lanes), and collisions fall out as
-/// slots - nulls - singles. Pad lanes (count or active not a multiple
-/// of kWideLanes) carry valid-but-ignored state: they advance with
-/// their group and are never finalized.
+/// The jams come from a LaneAdversaryBank, for every policy, and the
+/// loop branches only on how they fall across the live lanes:
+///  * none jammed — the clean primitive on the cached thresholds;
+///  * all jammed — the same primitive on a constant all-zero threshold
+///    array;
+///  * some jammed — the same primitive on copies of c_null and c_single
+///    with 0.0 for every jammed lane.
+/// This threshold zeroing is exact: to_uniform returns r in [0, 1), so
+/// r < 0.0 is false and a jammed lane classifies as Collision — its
+/// draw is consumed (the sequential engine draws and discards), nothing
+/// is added to nulls or singles, exp_tx is still added, and LESK's u
+/// takes the +inc step, which is exactly LeskKernel::step(kCollision).
+///
+/// Per-lane nulls/singles/transmissions live in SoA accumulators; slots
+/// are a chunk-shared scalar (lockstep), jams a per-lane count, and
+/// collisions fall out as slots - nulls - singles. Pad lanes (count
+/// or active not a multiple of kWideLanes) carry valid-but-ignored
+/// state: they advance with their group and are never finalized.
 template <class Kernel>
 void aggregate_lanes_wide(const typename Kernel::Params& params,
                           const AdversarySpec& spec, const BatchConfig& config,
@@ -193,7 +190,6 @@ void aggregate_lanes_wide(const typename Kernel::Params& params,
                           TrialOutcome* out) {
   JAMELECT_EXPECTS(config.n >= 1);
   JAMELECT_EXPECTS(config.max_slots >= 1);
-  JAMELECT_EXPECTS(lane_invariant_policy(spec));
   constexpr bool kIsUniform = std::is_same_v<Kernel, kernels::UniformKernel>;
   constexpr bool kIsLesk = std::is_same_v<Kernel, kernels::LeskKernel>;
   // Everything that is neither a fixed exponent nor a LESK lattice walk
@@ -202,6 +198,7 @@ void aggregate_lanes_wide(const typename Kernel::Params& params,
   // on a clean Single (retirement keys on the classified state).
   constexpr bool kIsGeneric = !kIsUniform && !kIsLesk;
 
+  LaneAdversaryBank bank(spec, base, first, count);
   const std::uint64_t n = config.n;
   BatchWorkspace& workspace = local_batch_workspace();
   SlotProbCache& cache = workspace.cache(n);
@@ -219,9 +216,13 @@ void aggregate_lanes_wide(const typename Kernel::Params& params,
   const std::size_t padded = rng.padded_lanes();
 
   std::vector<double> c_null(padded), c_single(padded), exp_tx(padded);
+  std::vector<double> c_null_jam(padded), c_single_jam(padded);
+  const std::vector<double> zeros(padded, 0.0);
   std::vector<double> transmissions(padded, 0.0);
   std::vector<std::int64_t> nulls(padded, 0), singles(padded, 0);
+  std::vector<std::int64_t> jams(padded, 0);
   std::vector<std::int64_t> states(padded, 0);
+  std::vector<std::uint8_t> jam(padded, 0);
   std::vector<std::uint32_t> lane_trial(count);
   std::vector<double> us;      // non-Uniform: per-lane broadcast exponent
   std::vector<Kernel> kerns;   // generic kernels: full state per lane
@@ -230,7 +231,6 @@ void aggregate_lanes_wide(const typename Kernel::Params& params,
   }
   if constexpr (kIsGeneric) kerns.assign(count, Kernel(params));
 
-  auto adv = make_adversary(spec, base.child(first).child(0xad50));
   for (std::size_t k = 0; k < count; ++k) {
     // Lane k's sim stream: the exact seed derivation of the sequential
     // path — base.child(first + k).child(0x51e0).
@@ -255,16 +255,21 @@ void aggregate_lanes_wide(const typename Kernel::Params& params,
                               exp_tx.data(),    transmissions.data(),
                               nulls.data(),     singles.data(),
                               states.data()};
+  wide::LaneBlock jam_block = block;
+  jam_block.c_null = c_null_jam.data();
+  jam_block.c_single = c_single_jam.data();
+  wide::LaneBlock all_jam_block = block;
+  all_jam_block.c_null = zeros.data();
+  all_jam_block.c_single = zeros.data();
 
   std::size_t active = count;
   std::int64_t slots_done = 0;  // == every live lane's slot count
-  std::int64_t jams_done = 0;   // shared jam bit: identical per lane
   std::int64_t slots_total = 0;
 
   const auto finalize = [&](std::size_t lane, bool elected) {
     TrialOutcome o;
     o.slots = slots_done;
-    o.jams = jams_done;
+    o.jams = jams[lane];
     o.nulls = nulls[lane];
     o.singles = singles[lane];
     o.collisions = slots_done - nulls[lane] - singles[lane];
@@ -278,59 +283,56 @@ void aggregate_lanes_wide(const typename Kernel::Params& params,
     out[lane_trial[lane]] = o;
   };
 
+  const auto refresh_thresholds = [&] {
+    if constexpr (kIsGeneric) {
+      for (std::size_t lane = 0; lane < active; ++lane) {
+        us[lane] = kerns[lane].broadcast_u();
+      }
+    }
+    const std::size_t groups = (active + kWideLanes - 1) / kWideLanes;
+    cache.lookup_lanes(us.data(), groups * kWideLanes, c_null.data(),
+                       c_single.data(), exp_tx.data());
+  };
+
   // Phase attribution (batched locally, one flush per chunk): the
-  // fused slot primitives are `classify` (they include the RNG
-  // advance — draw and classification are one pass on this path),
-  // threshold refreshes are `cache_lookup`, and LESU stepping plus
-  // retirement compaction are `lattice_update`. Off = one dead branch
-  // per section; never touches the draw sequence.
+  // bank's step and observe plus the fused slot primitives are
+  // `classify` (the primitives include the RNG advance — draw and
+  // classification are one pass on this path), threshold refreshes are
+  // `cache_lookup`, and generic kernel stepping plus retirement
+  // compaction are `lattice_update`. Off = one dead branch per section;
+  // never touches the draw sequence.
   obs::PhaseAccumulator prof;
 
   for (Slot slot = 0; slot < config.max_slots && active > 0; ++slot) {
     slots_total += static_cast<std::int64_t>(active);
     ++slots_done;
     const std::size_t groups = (active + kWideLanes - 1) / kWideLanes;
-    const std::size_t span = groups * kWideLanes;
-    const bool jammed = adv->step();
-
-    if (jammed) {
-      // Every lane sees Collision regardless of its draw: advance the
-      // streams (the sequential engine draws and discards), accumulate
-      // expected transmissions, fold the Collision into the kernels.
-      // No lane can retire, so no compaction pass.
-      ++jams_done;
-      prof.start();
-      if constexpr (kIsLesk) {
-        ops.jammed_slot_lesk(block, us.data(), lesk_inc, groups);
-        prof.stop(obs::Phase::kClassify);
-        cache.lookup_lanes(us.data(), span, c_null.data(), c_single.data(),
-                           exp_tx.data());
-        prof.stop(obs::Phase::kCacheLookup);
-      } else if constexpr (kIsGeneric) {
-        ops.jammed_slot(block, groups);
-        prof.stop(obs::Phase::kClassify);
-        for (std::size_t lane = 0; lane < active; ++lane) {
-          kerns[lane].step(ChannelState::kCollision);
-          us[lane] = kerns[lane].broadcast_u();
-        }
-        prof.stop(obs::Phase::kLatticeUpdate);
-        cache.lookup_lanes(us.data(), span, c_null.data(), c_single.data(),
-                           exp_tx.data());
-        prof.stop(obs::Phase::kCacheLookup);
-      } else {
-        ops.jammed_slot(block, groups);
-        prof.stop(obs::Phase::kClassify);
-      }
-      continue;
-    }
-
     prof.start();
+    const LaneAdversaryBank::Jams jammed = bank.step(jam.data(), active);
+
+    const wide::LaneBlock* slot_block = &block;
+    if (jammed == LaneAdversaryBank::Jams::kAll) {
+      // No lane can retire, so the compaction pass below never runs.
+      for (std::size_t k = 0; k < active; ++k) ++jams[k];
+      slot_block = &all_jam_block;
+    } else if (jammed == LaneAdversaryBank::Jams::kSome) {
+      // Pad lanes keep their thresholds: their jam bits are stale.
+      for (std::size_t k = 0; k < groups * kWideLanes; ++k) {
+        const bool jk = k < active && jam[k] != 0;
+        c_null_jam[k] = jk ? 0.0 : c_null[k];
+        c_single_jam[k] = jk ? 0.0 : c_single[k];
+        jams[k] += jk ? 1 : 0;
+      }
+      slot_block = &jam_block;
+    }
     bool any_single;
     if constexpr (kIsLesk) {
-      any_single = ops.clean_slot_lesk(block, us.data(), lesk_inc, groups);
+      any_single =
+          ops.clean_slot_lesk(*slot_block, us.data(), lesk_inc, groups);
     } else {
-      any_single = ops.clean_slot(block, groups);
+      any_single = ops.clean_slot(*slot_block, groups);
     }
+    bank.observe(states.data(), active);
     prof.stop(obs::Phase::kClassify);
     if constexpr (kIsGeneric) {
       // Generic kernels (LESU's phase machine, the baselines' search /
@@ -355,9 +357,11 @@ void aggregate_lanes_wide(const typename Kernel::Params& params,
         --active;
         if (lane != active) {
           rng.move_lane(lane, active);
+          bank.move_lane(lane, active);
           transmissions[lane] = transmissions[active];
           nulls[lane] = nulls[active];
           singles[lane] = singles[active];
+          jams[lane] = jams[active];
           states[lane] = states[active];
           lane_trial[lane] = lane_trial[active];
           if constexpr (!kIsUniform) us[lane] = us[active];
@@ -369,184 +373,12 @@ void aggregate_lanes_wide(const typename Kernel::Params& params,
 
     if constexpr (!kIsUniform) {
       if (active > 0) {
-        if constexpr (kIsGeneric) {
-          for (std::size_t lane = 0; lane < active; ++lane) {
-            us[lane] = kerns[lane].broadcast_u();
-          }
-        }
-        const std::size_t g2 = (active + kWideLanes - 1) / kWideLanes;
-        cache.lookup_lanes(us.data(), g2 * kWideLanes, c_null.data(),
-                           c_single.data(), exp_tx.data());
+        refresh_thresholds();
         prof.stop(obs::Phase::kCacheLookup);
       }
     }
   }
   // Right-censored lanes: budget exhausted without election.
-  for (std::size_t lane = 0; lane < active; ++lane) finalize(lane, false);
-  JAMELECT_OBS_COUNT("engine.batch.aggregate_chunks", 1);
-  JAMELECT_OBS_COUNT("engine.batch.slots", slots_total);
-  JAMELECT_OBS_COUNT("mc.batch_wide_slots", slots_total);
-  workspace.emit_cache_counters();
-}
-
-/// SIMD-wide strong-CD aggregate lanes under an ADAPTIVE (lane-variant)
-/// adversary. The adversary runs as SoA columns in a LaneAdversaryBank
-/// — per-lane budget recurrence, per-lane policy state, per-lane policy
-/// RNG — for bernoulli / single_denial / collision_forcer. The
-/// simulation draw happens for EVERY live lane every slot (the
-/// sequential engine draws and discards under a jam — with per-lane jam
-/// bits there is nothing to skip), then a portable branch-free loop
-/// folds the per-lane jam bit into the classified state. Generic
-/// kernels step scalar off the states, as in the shared-adversary
-/// engine.
-///
-/// Per-lane jams live in their own SoA column (the jam bit varies per
-/// lane); slots stay a chunk-shared scalar (lockstep).
-template <class Kernel>
-void aggregate_lanes_wide_adaptive(const typename Kernel::Params& params,
-                                   const AdversarySpec& spec,
-                                   const BatchConfig& config, const Rng& base,
-                                   std::size_t first, std::size_t count,
-                                   TrialOutcome* out) {
-  JAMELECT_EXPECTS(config.n >= 1);
-  JAMELECT_EXPECTS(config.max_slots >= 1);
-  JAMELECT_EXPECTS(LaneAdversaryBank::supports(spec));
-  constexpr bool kIsUniform = std::is_same_v<Kernel, kernels::UniformKernel>;
-
-  const std::uint64_t n = config.n;
-  BatchWorkspace& workspace = local_batch_workspace();
-  SlotProbCache& cache = workspace.cache(n);
-  if constexpr (std::is_same_v<Kernel, kernels::LeskKernel>) {
-    cache.set_lattice_step(Kernel(params).inc);
-  }
-
-  WideXoshiro rng(count);
-  const std::size_t padded = rng.padded_lanes();
-
-  std::vector<Kernel> kerns(count, Kernel(params));
-  std::vector<double> c_null(padded), c_single(padded), exp_tx(padded);
-  std::vector<double> r(padded, 0.0);
-  std::vector<double> us(padded, Kernel(params).broadcast_u());
-  std::vector<double> transmissions(padded, 0.0);
-  std::vector<std::int64_t> nulls(padded, 0), singles(padded, 0);
-  std::vector<std::int64_t> jams(padded, 0);
-  std::vector<std::int64_t> states(padded, 0);
-  std::vector<std::uint8_t> jam(padded, 0);
-  std::vector<std::uint32_t> lane_trial(count);
-
-  LaneAdversaryBank bank(spec, base, first, count);
-  for (std::size_t k = 0; k < count; ++k) {
-    rng.seed_lane(k, base.child(first + k).child(0x51e0).seed());
-    lane_trial[k] = static_cast<std::uint32_t>(k);
-  }
-
-  cache.lookup_lanes(us.data(), padded, c_null.data(), c_single.data(),
-                     exp_tx.data());
-
-  std::size_t active = count;
-  std::int64_t slots_done = 0;  // == every live lane's slot count
-  std::int64_t slots_total = 0;
-
-  const auto finalize = [&](std::size_t lane, bool elected) {
-    TrialOutcome o;
-    o.slots = slots_done;
-    o.jams = jams[lane];
-    o.nulls = nulls[lane];
-    o.singles = singles[lane];
-    o.collisions = slots_done - nulls[lane] - singles[lane];
-    o.transmissions = transmissions[lane];
-    if (elected) {
-      o.elected = true;
-      o.all_done = true;
-      o.unique_leader = true;
-      o.leader = rng.below_lane(lane, n);
-    }
-    out[lane_trial[lane]] = o;
-  };
-
-  // Phase attribution: the bank's budget sweep + policy desires are
-  // `classify` (they are the adversary's slot arithmetic), the wide
-  // uniform advance is `rng`, the jam-merged classification loop is
-  // `classify`, kernel stepping and retirement compaction are
-  // `lattice_update`, threshold refreshes are `cache_lookup`.
-  obs::PhaseAccumulator prof;
-
-  for (Slot slot = 0; slot < config.max_slots && active > 0; ++slot) {
-    slots_total += static_cast<std::int64_t>(active);
-    ++slots_done;
-    const std::size_t groups = (active + kWideLanes - 1) / kWideLanes;
-    const std::size_t span = groups * kWideLanes;
-
-    prof.start();
-    bank.step(jam.data(), active);
-    prof.stop(obs::Phase::kClassify);
-
-    // Every live lane draws every slot — the sequential engine's
-    // uniform() happens unconditionally too, jammed or not.
-    rng.uniform_groups(groups, r.data());
-    prof.stop(obs::Phase::kRng);
-
-    for (std::size_t k = 0; k < span; ++k) {
-      const double rv = r[k];
-      const bool lt0 = rv < c_null[k];
-      const bool lt1 = rv < c_single[k];
-      const bool jk = jam[k] != 0;
-      const std::int64_t s = jk ? 2 : (lt0 ? 0 : (lt1 ? 1 : 2));
-      states[k] = s;
-      nulls[k] += s == 0 ? 1 : 0;
-      singles[k] += s == 1 ? 1 : 0;
-      jams[k] += jk ? 1 : 0;
-      transmissions[k] += exp_tx[k];
-    }
-    prof.stop(obs::Phase::kClassify);
-
-    bool any_done = false;
-    for (std::size_t lane = 0; lane < active; ++lane) {
-      kerns[lane].step(static_cast<ChannelState>(states[lane]));
-      any_done = any_done || kerns[lane].done();
-    }
-    prof.stop(obs::Phase::kLatticeUpdate);
-
-    bank.observe(states.data(), active);
-    prof.stop(obs::Phase::kClassify);
-
-    if (any_done) {
-      for (std::size_t lane = 0; lane < active;) {
-        if (!kerns[lane].done()) {
-          ++lane;
-          continue;
-        }
-        JAMELECT_ENSURES(states[lane] == 1);
-        finalize(lane, true);
-        --active;
-        if (lane != active) {
-          rng.move_lane(lane, active);
-          bank.move_lane(lane, active);
-          kerns[lane] = kerns[active];
-          transmissions[lane] = transmissions[active];
-          nulls[lane] = nulls[active];
-          singles[lane] = singles[active];
-          jams[lane] = jams[active];
-          states[lane] = states[active];
-          lane_trial[lane] = lane_trial[active];
-          us[lane] = us[active];
-        }
-      }
-      prof.stop(obs::Phase::kLatticeUpdate);
-    }
-
-    if constexpr (!kIsUniform) {
-      if (active > 0) {
-        for (std::size_t lane = 0; lane < active; ++lane) {
-          us[lane] = kerns[lane].broadcast_u();
-        }
-        const std::size_t g2 = (active + kWideLanes - 1) / kWideLanes;
-        cache.lookup_lanes(us.data(), g2 * kWideLanes, c_null.data(),
-                           c_single.data(), exp_tx.data());
-        prof.stop(obs::Phase::kCacheLookup);
-      }
-    }
-  }
   for (std::size_t lane = 0; lane < active; ++lane) finalize(lane, false);
   JAMELECT_OBS_COUNT("engine.batch.aggregate_chunks", 1);
   JAMELECT_OBS_COUNT("engine.batch.slots", slots_total);
@@ -568,11 +400,10 @@ enum class DrawKind : std::uint8_t { kNone = 0, kCategory, kBernoulli };
 /// hence bit identity with the sequential engine — is preserved
 /// exactly.
 ///
-/// Adversaries come in two flavors: lane-invariant policies share one
-/// jam bit per slot, and the adaptive built-ins run as per-lane SoA
-/// columns in a LaneAdversaryBank (sim/lane_adversary.hpp) — per-lane
-/// jam bits, observed states fed back after every slot (padding
-/// included, matching the sequential engine's per-slot observe()).
+/// The jams come from a LaneAdversaryBank (sim/lane_adversary.hpp):
+/// per-lane jam bits, observed states fed back after every slot
+/// (padding included, matching the sequential engine's per-slot
+/// observe()).
 template <class Kernel>
 void hybrid_lanes_wide(const typename Kernel::Params& params,
                        const AdversarySpec& spec, const BatchConfig& config,
@@ -580,8 +411,7 @@ void hybrid_lanes_wide(const typename Kernel::Params& params,
                        TrialOutcome* out) {
   JAMELECT_EXPECTS(config.n >= 3);
   JAMELECT_EXPECTS(config.max_slots >= 1);
-  JAMELECT_EXPECTS(lane_invariant_policy(spec) ||
-                   LaneAdversaryBank::supports(spec));
+  LaneAdversaryBank bank(spec, base, first, count);
   const std::uint64_t n = config.n;
   BatchWorkspace& workspace = local_batch_workspace();
   SlotProbCache& cache_n = workspace.cache(n);
@@ -608,19 +438,9 @@ void hybrid_lanes_wide(const typename Kernel::Params& params,
   std::vector<double> thr0(count, 0.0), thr1(count, 0.0), slot_tx(count, 0.0);
   std::vector<std::uint8_t> mask(padded, 0);
   std::vector<double> r(padded, 0.0);
+  std::vector<std::uint8_t> jam(count, 0);
+  std::vector<std::int64_t> lane_states(count, 0);  // fed to observe()
 
-  const bool shared_adv = lane_invariant_policy(spec);
-  std::unique_ptr<BoundedAdversary> adv;
-  std::optional<LaneAdversaryBank> bank;
-  std::vector<std::uint8_t> jam;          // per-lane jam bits (bank only)
-  std::vector<std::int64_t> lane_states;  // per-lane states for observe()
-  if (shared_adv) {
-    adv = make_adversary(spec, base.child(first).child(0xad50));
-  } else {
-    bank.emplace(spec, base, first, count);
-    jam.assign(count, 0);
-    lane_states.assign(count, 0);
-  }
   for (std::size_t k = 0; k < count; ++k) {
     rng.seed_lane(k, base.child(first + k).child(0x51e0).seed());
     lane_trial[k] = static_cast<std::uint32_t>(k);
@@ -637,28 +457,25 @@ void hybrid_lanes_wide(const typename Kernel::Params& params,
   for (Slot slot = 0; slot < config.max_slots && active > 0; ++slot) {
     const IntervalPosition pos = classify_slot(slot);
     slots_total += static_cast<std::int64_t>(active);
-    const bool jam_all = shared_adv && adv->step();
-    if (!shared_adv) bank->step(jam.data(), active);
+    bank.step(jam.data(), active);
 
     if (pos.set == IntervalSet::kPadding) {
       // Nobody draws or acts in padding: the slot is a Null (or a
       // jammed Collision) for every lane, and no phase can complete
       // (every transition keys on C1..C3), so no retirement check.
-      // Adaptive adversaries still observe the padding slots — the
-      // sequential engine feeds them every slot too.
+      // The adversary still observes the padding slots — the
+      // sequential engine feeds it every slot too.
       prof.start();
       for (std::size_t lane = 0; lane < active; ++lane) {
-        const bool jl = shared_adv ? jam_all : jam[lane] != 0;
+        const bool jl = jam[lane] != 0;
         const ChannelState state = resolve_slot(0, jl);
         TrialOutcome& o = acc[lane];
         ++o.slots;
         if (jl) ++o.jams;
         record_state(o, state);
-        if (!shared_adv) {
-          lane_states[lane] = static_cast<std::int64_t>(state);
-        }
+        lane_states[lane] = static_cast<std::int64_t>(state);
       }
-      if (!shared_adv) bank->observe(lane_states.data(), active);
+      bank.observe(lane_states.data(), active);
       prof.stop(obs::Phase::kClassify);
       continue;
     }
@@ -774,7 +591,7 @@ void hybrid_lanes_wide(const typename Kernel::Params& params,
       } else if (draw[lane] == DrawKind::kBernoulli) {
         cnt = r[lane] < thr0[lane] ? 1 : 0;
       }
-      const bool jammed = shared_adv ? jam_all : jam[lane] != 0;
+      const bool jammed = jam[lane] != 0;
       const ChannelState state = resolve_slot(cnt, jammed);
 
       TrialOutcome& o = acc[lane];
@@ -782,7 +599,7 @@ void hybrid_lanes_wide(const typename Kernel::Params& params,
       o.transmissions += slot_tx[lane];
       if (jammed) ++o.jams;
       record_state(o, state);
-      if (!shared_adv) lane_states[lane] = static_cast<std::int64_t>(state);
+      lane_states[lane] = static_cast<std::int64_t>(state);
 
       switch (phases[lane]) {
         case HybridPhase::kP1:
@@ -837,7 +654,7 @@ void hybrid_lanes_wide(const typename Kernel::Params& params,
           break;
       }
     }
-    if (!shared_adv) bank->observe(lane_states.data(), active);
+    bank.observe(lane_states.data(), active);
 
     prof.stop(obs::Phase::kClassify);
 
@@ -863,7 +680,7 @@ void hybrid_lanes_wide(const typename Kernel::Params& params,
         l_a[lane] = l_a[active];
         s_a[lane] = s_a[active];
         rng.move_lane(lane, active);
-        if (!shared_adv) bank->move_lane(lane, active);
+        bank.move_lane(lane, active);
         lane_trial[lane] = lane_trial[active];
         acc[lane] = acc[active];
       }
@@ -938,15 +755,8 @@ void run_batch_aggregate_trials(const BatchKernelSpec& spec,
       [&](const auto& params) {
         using Kernel = typename KernelFor<
             std::decay_t<decltype(params)>>::type;
-        // The policy alone picks the lane engine: a shared jam bit for
-        // the lane-invariant set, a LaneAdversaryBank otherwise.
-        if (lane_invariant_policy(adv)) {
-          aggregate_lanes_wide<Kernel>(params, adv, config, base, first,
-                                       count, out);
-        } else {
-          aggregate_lanes_wide_adaptive<Kernel>(params, adv, config, base,
-                                                first, count, out);
-        }
+        aggregate_lanes_wide<Kernel>(params, adv, config, base, first,
+                                     count, out);
       },
       spec);
 }
@@ -964,8 +774,6 @@ void run_batch_hybrid_trials(const BatchKernelSpec& spec,
       [&](const auto& params) {
         using Kernel = typename KernelFor<
             std::decay_t<decltype(params)>>::type;
-        // hybrid_lanes_wide hosts both adversary flavors (shared jam
-        // bit and LaneAdversaryBank) behind one template.
         hybrid_lanes_wide<Kernel>(params, adv, config, base, first, count,
                                   out);
       },

@@ -24,12 +24,12 @@
 // enforces this for both CD modes. Consequently any batch trial can be
 // replayed with full telemetry via replay_aggregate_trial.
 //
-// The adversary policy alone picks the lane engine: lane-invariant
-// policies (none, saturating, periodic, pulse, interval_buster) share
-// one jam bit per slot, and the adaptive built-ins (bernoulli,
-// single_denial, collision_forcer) run on per-lane SoA adversary state
-// (sim/lane_adversary.hpp). Either way the contract above holds bit for
-// bit — tests/wide_batch_test.cpp and
+// Every policy's jams come from one LaneAdversaryBank
+// (sim/lane_adversary.hpp): lane-invariant policies (none, saturating,
+// periodic, pulse, interval_buster) share one adversary per chunk, and
+// the adaptive built-ins (bernoulli, single_denial, collision_forcer)
+// run on per-lane SoA adversary state. Either way the contract above
+// holds bit for bit — tests/wide_batch_test.cpp and
 // tests/batch_adaptive_equivalence_test.cpp lock batched == sequential
 // on both wide backends (AVX2 and the portable 4-wide fallback
 // selected by JAMELECT_FORCE_SCALAR=1).

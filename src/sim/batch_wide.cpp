@@ -14,11 +14,8 @@ namespace jamelect::wide {
 // Implemented in batch_wide_avx2.cpp (built with -mavx2).
 namespace avx2 {
 bool clean_slot(const LaneBlock& b, std::size_t groups) noexcept;
-void jammed_slot(const LaneBlock& b, std::size_t groups) noexcept;
 bool clean_slot_lesk(const LaneBlock& b, double* us, double inc,
                      std::size_t groups) noexcept;
-void jammed_slot_lesk(const LaneBlock& b, double* us, double inc,
-                      std::size_t groups) noexcept;
 }  // namespace avx2
 #endif
 
@@ -51,14 +48,6 @@ bool clean_slot_scalar4(const LaneBlock& b, std::size_t groups) {
   return singles != 0;
 }
 
-void jammed_slot_scalar4(const LaneBlock& b, std::size_t groups) {
-  const std::size_t lanes = groups * kWideLanes;
-  for (std::size_t k = 0; k < lanes; ++k) {
-    (void)step1(b.s0[k], b.s1[k], b.s2[k], b.s3[k]);
-    b.transmissions[k] += b.exp_tx[k];
-  }
-}
-
 bool clean_slot_lesk_scalar4(const LaneBlock& b, double* us, double inc,
                              std::size_t groups) {
   const std::size_t lanes = groups * kWideLanes;
@@ -77,29 +66,15 @@ bool clean_slot_lesk_scalar4(const LaneBlock& b, double* us, double inc,
   return singles != 0;
 }
 
-void jammed_slot_lesk_scalar4(const LaneBlock& b, double* us, double inc,
-                              std::size_t groups) {
-  const std::size_t lanes = groups * kWideLanes;
-  for (std::size_t k = 0; k < lanes; ++k) {
-    (void)step1(b.s0[k], b.s1[k], b.s2[k], b.s3[k]);
-    b.transmissions[k] += b.exp_tx[k];
-    us[k] += inc;
-  }
-}
-
 constexpr SlotOps kScalar4Ops{
     clean_slot_scalar4,
-    jammed_slot_scalar4,
     clean_slot_lesk_scalar4,
-    jammed_slot_lesk_scalar4,
 };
 
 #if defined(JAMELECT_WIDE_AVX2)
 constexpr SlotOps kAvx2Ops{
     avx2::clean_slot,
-    avx2::jammed_slot,
     avx2::clean_slot_lesk,
-    avx2::jammed_slot_lesk,
 };
 #endif
 

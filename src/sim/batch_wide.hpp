@@ -12,11 +12,10 @@
 //   nulls += lt0, singles += lt1 - lt0, transmissions += exp_tx.
 // The *_lesk variants additionally fold in LeskKernel::step on the SoA
 // u array: Null -> max(u - 1, 0), Collision -> u + inc, Single ->
-// unchanged (the lane retires this slot). Jammed variants advance the
-// streams without converting (the sequential engine draws and
-// discards) and accumulate only transmissions — the slot is a
-// Collision for every lane, which the engine derives as
-// slots - nulls - singles.
+// unchanged (the lane retires this slot). A jammed lane runs the same
+// variant with both thresholds at 0.0: r < 0.0 never holds, so it
+// classifies as Collision with its draw consumed (the sequential
+// engine draws and discards).
 //
 // Both backends process lanes in ascending order with the exact scalar
 // double expressions (the AVX2 u64->double conversion and max/add/blend
@@ -48,16 +47,13 @@ struct LaneBlock {
   std::int64_t* states;    ///< out: this slot's ChannelState per lane
 };
 
-/// One backend's fused slot kernels; all process groups * kWideLanes
-/// lanes. The clean variants return true iff any lane resolved Single
-/// (the engine's cue to run a retirement pass).
+/// One backend's fused slot kernels; both process groups * kWideLanes
+/// lanes and return true iff any lane resolved Single (the engine's cue
+/// to run a retirement pass).
 struct SlotOps {
   bool (*clean_slot)(const LaneBlock& b, std::size_t groups);
-  void (*jammed_slot)(const LaneBlock& b, std::size_t groups);
   bool (*clean_slot_lesk)(const LaneBlock& b, double* us, double inc,
                           std::size_t groups);
-  void (*jammed_slot_lesk)(const LaneBlock& b, double* us, double inc,
-                           std::size_t groups);
 };
 
 /// The fused kernels for one backend (resolve with active_wide_isa()).

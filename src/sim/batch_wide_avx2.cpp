@@ -62,21 +62,6 @@ inline __m256d advance_group(const LaneBlock& b, std::size_t i) noexcept {
   return to_uniform4_avx2(x);
 }
 
-/// Advances the group's states without converting the outputs — the
-/// jammed-slot mirror of "draw and discard".
-inline void advance_group_discard(const LaneBlock& b,
-                                  std::size_t i) noexcept {
-  __m256i v0 = load64(b.s0 + i);
-  __m256i v1 = load64(b.s1 + i);
-  __m256i v2 = load64(b.s2 + i);
-  __m256i v3 = load64(b.s3 + i);
-  (void)step4_avx2(v0, v1, v2, v3);
-  store64(b.s0 + i, v0);
-  store64(b.s1 + i, v1);
-  store64(b.s2 + i, v2);
-  store64(b.s3 + i, v3);
-}
-
 /// Classifies the group's draws and folds them into the accumulators:
 ///   state = 2 + lt0 + lt1 (masks are -1), nulls -= lt0,
 ///   singles += lt0 - lt1, tx += exp_tx.
@@ -114,16 +99,6 @@ bool clean_slot(const LaneBlock& b, std::size_t groups) noexcept {
   return _mm256_movemask_pd(_mm256_castsi256_pd(any_single)) != 0;
 }
 
-void jammed_slot(const LaneBlock& b, std::size_t groups) noexcept {
-  for (std::size_t g = 0; g < groups; ++g) {
-    const std::size_t i = g * kWideLanes;
-    advance_group_discard(b, i);
-    const __m256d tx = _mm256_loadu_pd(b.transmissions + i);
-    _mm256_storeu_pd(b.transmissions + i,
-                     _mm256_add_pd(tx, _mm256_loadu_pd(b.exp_tx + i)));
-  }
-}
-
 bool clean_slot_lesk(const LaneBlock& b, double* us, double inc,
                      std::size_t groups) noexcept {
   __m256i any_single = _mm256_setzero_si256();
@@ -146,19 +121,6 @@ bool clean_slot_lesk(const LaneBlock& b, double* us, double inc,
     _mm256_storeu_pd(us + i, next);
   }
   return _mm256_movemask_pd(_mm256_castsi256_pd(any_single)) != 0;
-}
-
-void jammed_slot_lesk(const LaneBlock& b, double* us, double inc,
-                      std::size_t groups) noexcept {
-  const __m256d vinc = _mm256_set1_pd(inc);
-  for (std::size_t g = 0; g < groups; ++g) {
-    const std::size_t i = g * kWideLanes;
-    advance_group_discard(b, i);
-    const __m256d tx = _mm256_loadu_pd(b.transmissions + i);
-    _mm256_storeu_pd(b.transmissions + i,
-                     _mm256_add_pd(tx, _mm256_loadu_pd(b.exp_tx + i)));
-    _mm256_storeu_pd(us + i, _mm256_add_pd(_mm256_loadu_pd(us + i), vinc));
-  }
 }
 
 }  // namespace jamelect::wide::avx2

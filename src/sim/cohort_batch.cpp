@@ -2,16 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "adversary/adversary.hpp"
 #include "channel/channel.hpp"
 #include "obs/metrics.hpp"
 #include "protocols/kernels.hpp"
 #include "protocols/uniform_station.hpp"
+#include "sim/lane_adversary.hpp"
 #include "support/binomial_cache.hpp"
 #include "support/expects.hpp"
 #include "support/wide_rng.hpp"
@@ -19,17 +18,6 @@
 namespace jamelect {
 
 namespace {
-
-/// Same contract as the aggregate batch engine's helper (batch.cpp):
-/// policies whose jam schedule is a deterministic function of (slot,
-/// own budget) alone — no rng draws, no observe() feedback — make the
-/// identical decision in every lane, so one adversary instance stepped
-/// once per slot serves the whole chunk bit for bit.
-[[nodiscard]] bool lane_invariant_policy(const AdversarySpec& spec) {
-  return spec.policy == "none" || spec.policy == "saturating" ||
-         spec.policy == "periodic" || spec.policy == "pulse" ||
-         spec.policy == "interval_buster";
-}
 
 template <class Params>
 struct KernelFor;
@@ -177,13 +165,14 @@ CohortWorkspace& local_cohort_workspace() {
 /// One kernelized cohort trial with an unbounded table: the exact loop
 /// of CohortEngine::run (cohort.cpp) with annotation branches removed
 /// (no trace, no observer — both probed away upstream), reps in place
-/// of virtual protocols, and draws through the plan cache. Runs a lane
-/// whose cohort table outgrew CohortBatchConfig::cohort_cap, restarted
-/// from slot 0 on freshly derived streams.
+/// of virtual protocols, a one-lane bank in place of the virtual
+/// adversary, and draws through the plan cache. Runs a lane whose
+/// cohort table outgrew CohortBatchConfig::cohort_cap, restarted from
+/// slot 0 on freshly derived streams.
 template <class Kernel>
 TrialOutcome scalar_cohort_trial(const typename Kernel::Params& params,
                                  const CohortBatchConfig& config,
-                                 BoundedAdversary& adversary, Rng rng,
+                                 LaneAdversaryBank& adversary, Rng rng,
                                  BinomialSamplerCache& cache,
                                  std::int64_t& slots_accum) {
   struct Cohort {
@@ -197,7 +186,9 @@ TrialOutcome scalar_cohort_trial(const typename Kernel::Params& params,
   TrialOutcome out;
 
   for (Slot slot = 0; slot < config.max_slots; ++slot) {
-    const bool jammed = adversary.step();
+    std::uint8_t jam = 0;
+    adversary.step(&jam, 1);
+    const bool jammed = jam != 0;
 
     const std::size_t live = cohorts.size();
     tx.resize(live);
@@ -246,7 +237,8 @@ TrialOutcome scalar_cohort_trial(const typename Kernel::Params& params,
         }
       }
     }
-    adversary.observe({slot, total, jammed, state});
+    const auto observed = static_cast<std::int64_t>(state);
+    adversary.observe(&observed, 1);
 
     // Merge: first-occurrence compaction — the same absorption targets
     // and final table as CohortEngine::merge_cohorts' bucketed pass.
@@ -342,11 +334,10 @@ void cohort_lanes(const typename Kernel::Params& params,
   CohortWorkspace& workspace = local_cohort_workspace();
   BinomialSamplerCache& cache = workspace.cache;
   const auto rerun = [&](std::uint32_t rel, std::int64_t& slots_accum) {
-    const Rng trial_rng = base.child(first + rel);
-    auto adv = make_adversary(spec, trial_rng.child(0xad50));
-    return scalar_cohort_trial<Kernel>(params, config, *adv,
-                                       trial_rng.child(0x51e0), cache,
-                                       slots_accum);
+    LaneAdversaryBank adversary(spec, base, first + rel, 1);
+    return scalar_cohort_trial<Kernel>(params, config, adversary,
+                                       base.child(first + rel).child(0x51e0),
+                                       cache, slots_accum);
   };
   if constexpr (std::is_same_v<Kernel, kernels::LeskKernel>) {
     // LESK's u moves on the {-1, +eps/8} lattice, so steady-state plan
@@ -363,26 +354,12 @@ void cohort_lanes(const typename Kernel::Params& params,
   std::vector<std::uint32_t> counts(count, 1);
   std::vector<std::uint32_t> lane_trial(count);
   std::vector<TrialOutcome> acc(count);
-  // Deterministic policies share one adversary across all lanes: its
-  // decisions depend only on (slot, own budget), every lane's scalar
-  // twin would make the same move, and observe() is a no-op — so one
-  // step() per slot replaces `active` virtual calls. Adaptive policies
-  // keep one instance per trial on exactly the sequential runner's
-  // stream derivation (trial index first, then the adversary child).
-  const bool shared_adv = lane_invariant_policy(spec);
-  std::unique_ptr<BoundedAdversary> adv_shared;
-  std::vector<std::unique_ptr<BoundedAdversary>> advs;
-  if (shared_adv) {
-    adv_shared = make_adversary(spec, base.child(first).child(0xad50));
-  } else {
-    advs.reserve(count);
-  }
+  // Lane k's adversary is the sequential runner's
+  // make_adversary(spec, base.child(first + k).child(0xad50)).
+  LaneAdversaryBank bank(spec, base, first, count);
   for (std::size_t k = 0; k < count; ++k) {
     sizes[k * cap] = n;
     lane_trial[k] = static_cast<std::uint32_t>(k);
-    if (!shared_adv) {
-      advs.push_back(make_adversary(spec, base.child(first + k).child(0xad50)));
-    }
   }
 
   // Per-slot scratch.
@@ -393,6 +370,7 @@ void cohort_lanes(const typename Kernel::Params& params,
   std::vector<double> second_u(padded, 0.0);
   std::vector<std::uint64_t> totals(count, 0);
   std::vector<std::uint8_t> jammed_v(count, 0);
+  std::vector<std::int64_t> lane_states(count, 0);  // fed to observe()
   std::vector<std::uint8_t> finished(count, 0);
   // Per-lane Null/Single/Collision tallies, indexed by ChannelState's
   // value: the slot state is data-dependent, so a branchy counter
@@ -475,24 +453,24 @@ void cohort_lanes(const typename Kernel::Params& params,
   for (Slot slot = 0; slot < config.max_slots && active > 0; ++slot) {
     slots_total += static_cast<std::int64_t>(active);
     // Jam bits first: each adversary moves before seeing its lane's
-    // coins, exactly as the sequential engine. Lane-invariant policies
-    // step the shared instance once; its bit covers every lane.
-    bool shared_jam = false;
-    if (shared_adv) shared_jam = adv_shared->step();
+    // coins, exactly as the sequential engine.
+    const bool all_jammed =
+        bank.step(jammed_v.data(), active) == LaneAdversaryBank::Jams::kAll;
     std::uint32_t max_count = 0;
     for (std::size_t l = 0; l < active; ++l) {
-      if (!shared_adv) jammed_v[l] = advs[l]->step() ? 1 : 0;
       max_count = std::max(max_count, counts[l]);
     }
 
     const std::size_t groups = (active + kWideLanes - 1) / kWideLanes;
     // The sequential engine's slot body for one lane: resolve,
     // bookkeeping, feedback/split (overflow retires to the scalar
-    // rerun), adversary observe, merge, stop rule. Shared by the fused
-    // single-cohort sweep and the generic multi-position path.
+    // rerun), merge, stop rule. Shared by the fused single-cohort sweep
+    // and the generic multi-position path. Each lane's state is queued
+    // for the one bank.observe() after the sweep.
     const auto lane_tail = [&](std::size_t l, std::uint64_t total,
                                bool jammed) {
       const ChannelState state = resolve_slot(total, jammed);
+      lane_states[l] = static_cast<std::int64_t>(state);
       TrialOutcome& o = acc[l];
 
       ++o.slots;
@@ -538,9 +516,6 @@ void cohort_lanes(const typename Kernel::Params& params,
         finished[l] = 1;
         return;
       }
-      // Lane-invariant policies ignore observe() (no feedback path);
-      // skipping the virtual call on the shared instance is exact.
-      if (!shared_adv) advs[l]->observe({slot, total, jammed, state});
       merge_lane(l);
 
       if (config.stop == StopRule::kFirstSingle) {
@@ -572,6 +547,7 @@ void cohort_lanes(const typename Kernel::Params& params,
     const auto lane_tail1 = [&](std::size_t l, std::uint64_t total,
                                 bool jammed) {
       const ChannelState state = resolve_slot(total, jammed);
+      lane_states[l] = static_cast<std::int64_t>(state);
       TrialOutcome& o = acc[l];
 
       ++o.slots;
@@ -607,7 +583,6 @@ void cohort_lanes(const typename Kernel::Params& params,
           split = true;
         }
       }
-      if (!shared_adv) advs[l]->observe({slot, total, jammed, state});
       if (split) merge_lane(l);
 
       if (config.stop == StopRule::kFirstSingle) {
@@ -641,19 +616,16 @@ void cohort_lanes(const typename Kernel::Params& params,
     // total == 0 aside, which needs total >= 1 anyway — reduces to one
     // kern.step(kCollision) with done/leader untouched. No split is
     // possible (obs_l == obs_t != kSingle), no lane elects or
-    // finalizes, so the body is counters + one kernel step + the
-    // adaptive observe.
+    // finalizes, so the body is counters + one kernel step.
     const auto lane_tail_collide = [&](std::size_t l, std::uint64_t total,
                                        bool jammed) {
+      lane_states[l] = static_cast<std::int64_t>(ChannelState::kCollision);
       TrialOutcome& o = acc[l];
       ++o.slots;
       o.jams += static_cast<std::int64_t>(jammed);
       ++tally[l * 3 + static_cast<std::size_t>(ChannelState::kCollision)];
       o.transmissions += static_cast<double>(total);
       reps[l * cap].kern.step(ChannelState::kCollision);
-      if (!shared_adv) {
-        advs[l]->observe({slot, total, jammed, ChannelState::kCollision});
-      }
     };
 
     // Lockstep lanes overwhelmingly share one (size, u) pair per
@@ -722,7 +694,7 @@ void cohort_lanes(const typename Kernel::Params& params,
             k = binomial_plan_draw_first2(plan, first_u[l], second_u[l],
                                           lane_rng);
           }
-          const bool jammed = shared_adv ? shared_jam : jammed_v[l] != 0;
+          const bool jammed = jammed_v[l] != 0;
           if (k >= 2) {
             lane_tail_collide(l, k, jammed);
           } else {
@@ -730,8 +702,7 @@ void cohort_lanes(const typename Kernel::Params& params,
             lane_tail1(l, k, jammed);
           }
         }
-        uniform_hint =
-            kUniformHintable && (all_collide || (shared_adv && shared_jam));
+        uniform_hint = kUniformHintable && (all_collide || all_jammed);
       } else if (uplan != nullptr &&
                  uplan->regime == BinomialPlan::Regime::kInversion) {
         const BinomialPlan& plan = *uplan;
@@ -741,7 +712,7 @@ void cohort_lanes(const typename Kernel::Params& params,
           LaneRng lane_rng{&pack, l};
           const std::uint64_t k =
               binomial_plan_draw_first(plan, first_u[l], lane_rng);
-          const bool jammed = shared_adv ? shared_jam : jammed_v[l] != 0;
+          const bool jammed = jammed_v[l] != 0;
           if (k >= 2) {
             lane_tail_collide(l, k, jammed);
           } else {
@@ -749,21 +720,20 @@ void cohort_lanes(const typename Kernel::Params& params,
             lane_tail1(l, k, jammed);
           }
         }
-        uniform_hint =
-            kUniformHintable && (all_collide || (shared_adv && shared_jam));
+        uniform_hint = kUniformHintable && (all_collide || all_jammed);
       } else if (uplan != nullptr && !uplan->needs_draw()) {
         const std::uint64_t k =
             uplan->regime == BinomialPlan::Regime::kAll ? uplan->n : 0;
         if (k >= 2) {
           for (std::size_t l = 0; l < active; ++l) {
-            lane_tail_collide(l, k, shared_adv ? shared_jam : jammed_v[l] != 0);
+            lane_tail_collide(l, k, jammed_v[l] != 0);
           }
           uniform_hint = kUniformHintable;
         } else {
           for (std::size_t l = 0; l < active; ++l) {
-            lane_tail1(l, k, shared_adv ? shared_jam : jammed_v[l] != 0);
+            lane_tail1(l, k, jammed_v[l] != 0);
           }
-          uniform_hint = kUniformHintable && shared_adv && shared_jam;
+          uniform_hint = kUniformHintable && all_jammed;
         }
       } else {
         // Mixed slot (or the small-cohort loop regime): per-lane plans
@@ -796,7 +766,7 @@ void cohort_lanes(const typename Kernel::Params& params,
         // too; each lane's stream sees u then v in the sequential order.
         pack.uniform_masked(groups, btpe_mask.data(), second_u.data());
         for (std::size_t l = 0; l < active; ++l) {
-          const bool jammed = shared_adv ? shared_jam : jammed_v[l] != 0;
+          const bool jammed = jammed_v[l] != 0;
           std::uint64_t k = 0;
           if (plans[l] != nullptr) {
             if (btpe_mask[l] != 0) {
@@ -901,9 +871,10 @@ void cohort_lanes(const typename Kernel::Params& params,
   
       // Scalar tail: per lane, the shared slot body on the summed total.
       for (std::size_t l = 0; l < active; ++l) {
-        lane_tail(l, totals[l], shared_adv ? shared_jam : jammed_v[l] != 0);
+        lane_tail(l, totals[l], jammed_v[l] != 0);
       }
     }
+    bank.observe(lane_states.data(), active);
 
     // Swap-remove finished lanes. The swapped-in source lane may
     // itself have finished this slot, so don't advance until the
@@ -926,7 +897,7 @@ void cohort_lanes(const typename Kernel::Params& params,
         tally[l * 3 + 1] = tally[active * 3 + 1];
         tally[l * 3 + 2] = tally[active * 3 + 2];
         lane_trial[l] = lane_trial[active];
-        if (!shared_adv) advs[l] = std::move(advs[active]);
+        bank.move_lane(l, active);
         finished[l] = finished[active];
         pack.move_lane(l, active);
       }

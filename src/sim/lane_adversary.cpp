@@ -8,10 +8,19 @@
 
 namespace jamelect {
 
-bool LaneAdversaryBank::supports(const AdversarySpec& spec) noexcept {
-  return spec.policy == "bernoulli" || spec.policy == "single_denial" ||
-         spec.policy == "collision_forcer";
+namespace {
+
+/// Policies whose jam schedule is a deterministic function of (slot,
+/// own budget) alone — no rng draws, no observe() feedback — produce
+/// the identical bit sequence in every lane, so one adversary instance
+/// can serve the whole chunk with a single step() per slot.
+[[nodiscard]] bool lane_invariant_policy(const AdversarySpec& spec) {
+  return spec.policy == "none" || spec.policy == "saturating" ||
+         spec.policy == "periodic" || spec.policy == "pulse" ||
+         spec.policy == "interval_buster";
 }
+
+}  // namespace
 
 LaneAdversaryBank::LaneAdversaryBank(const AdversarySpec& spec,
                                      const Rng& base, std::size_t first,
@@ -19,7 +28,14 @@ LaneAdversaryBank::LaneAdversaryBank(const AdversarySpec& spec,
     : T_(spec.T), eps_(EpsRatio::from_double(spec.eps)) {
   JAMELECT_EXPECTS(count >= 1);
   JAMELECT_EXPECTS(spec.T >= 1);
-  JAMELECT_EXPECTS(supports(spec));
+  if (lane_invariant_policy(spec)) {
+    kind_ = Kind::kShared;
+    shared_ = make_adversary(spec, base.child(first).child(0xad50));
+    return;
+  }
+  JAMELECT_EXPECTS(spec.policy == "bernoulli" ||
+                   spec.policy == "single_denial" ||
+                   spec.policy == "collision_forcer");
 
   // Same initial budget as JammingBudget's constructor: a virtual
   // unjammed window of length T, B = -(den-num)*T, zeroed ring.
@@ -84,7 +100,13 @@ bool LaneAdversaryBank::desire_for(double u) {
   return desire;
 }
 
-void LaneAdversaryBank::step(std::uint8_t* jam, std::size_t active) {
+LaneAdversaryBank::Jams LaneAdversaryBank::step(std::uint8_t* jam,
+                                                std::size_t active) {
+  if (kind_ == Kind::kShared) {
+    const bool jammed = shared_->step();
+    std::fill(jam, jam + active, static_cast<std::uint8_t>(jammed));
+    return jammed ? Jams::kAll : Jams::kNone;
+  }
   // Policy desires first (the scalar path always evaluates desires_jam
   // before consulting the budget — the draw happens even when the
   // budget would veto the jam).
@@ -93,7 +115,7 @@ void LaneAdversaryBank::step(std::uint8_t* jam, std::size_t active) {
     // a desired jam, so skipping the per-lane commit cannot change any
     // output.
     std::fill(jam, jam + active, std::uint8_t{0});
-    return;
+    return Jams::kNone;
   }
 
   const std::int64_t den = eps_.den;
@@ -107,6 +129,7 @@ void LaneAdversaryBank::step(std::uint8_t* jam, std::size_t active) {
     rng_->uniform_groups(groups, draws_.data());
   }
 
+  std::size_t jammed = 0;
   for (std::size_t k = 0; k < active; ++k) {
     const bool desires = kind_ == Kind::kBernoulli
                              ? (q_ >= 1.0 || draws_[k] < q_)
@@ -124,13 +147,17 @@ void LaneAdversaryBank::step(std::uint8_t* jam, std::size_t active) {
     window_jams_[k] += (jam_k ? 1 : 0) - evicted;
     ring[pos] = jam_k ? 1 : 0;
     jam[k] = jam_k ? 1 : 0;
+    jammed += jam_k ? 1 : 0;
   }
   ring_pos_ = (ring_pos_ + 1) % T_;
+  if (jammed == 0) return Jams::kNone;
+  return jammed == active ? Jams::kAll : Jams::kSome;
 }
 
 void LaneAdversaryBank::observe(const std::int64_t* states,
                                 std::size_t active) {
-  if (kind_ == Kind::kBernoulli) return;  // no observe() override
+  // Lane-invariant and bernoulli policies have no observe() override.
+  if (kind_ == Kind::kShared || kind_ == Kind::kBernoulli) return;
   for (std::size_t k = 0; k < active; ++k) {
     switch (states[k]) {
       case 0:  // Null
@@ -147,7 +174,7 @@ void LaneAdversaryBank::observe(const std::int64_t* states,
 }
 
 void LaneAdversaryBank::move_lane(std::size_t dst, std::size_t src) {
-  if (dst == src) return;
+  if (dst == src || kind_ == Kind::kShared) return;
   b_[dst] = b_[src];
   window_jams_[dst] = window_jams_[src];
   const auto T = static_cast<std::size_t>(T_);

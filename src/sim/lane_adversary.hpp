@@ -1,38 +1,50 @@
-// LaneAdversaryBank — SoA lane-variant adversaries for the wide batch
-// engines.
+// LaneAdversaryBank — the jam source of the wide batch engines.
 //
 // The sequential engines give every trial its own BoundedAdversary (one
-// virtual policy + one JammingBudget each). This bank lifts
-// the three adaptive built-in policies into structure-of-arrays state so
-// a whole chunk of lanes advances per slot with no virtual dispatch:
+// virtual policy + one JammingBudget each). This bank stands in for a
+// whole chunk of them, one lane per trial, for every policy
+// make_adversary accepts:
 //
-//  * bernoulli         — one WideXoshiro lane per trial, seeded exactly
-//    like the scalar policy stream (base.child(first + k).child(0xad50)
-//    .child(0x6a616d)), one uniform per lane per slot for 0 < q < 1 and
-//    NO draws for degenerate q (the Rng::bernoulli contract).
-//  * single_denial     — per-lane LeskEstimateMirror u plus a cached
-//    desire bit, refreshed from observe(); the desire for a given u is
-//    memoized on u's bit pattern so the slot_probabilities() evaluation
-//    runs once per distinct estimate, exactly as the scalar policy
-//    would compute it.
-//  * collision_forcer  — same mirror, collision-threshold trigger.
+//  * lane-invariant policies (none, saturating, periodic, pulse,
+//    interval_buster) decide from (slot, own budget) alone — no rng
+//    draws, no observe() feedback — so every lane's scalar twin makes
+//    the same move. The bank holds ONE BoundedAdversary, seeded from
+//    base.child(first).child(0xad50), steps it once per slot and
+//    broadcasts its bit; observe() and move_lane() are no-ops.
+//  * the adaptive built-ins run as structure-of-arrays lanes with no
+//    virtual dispatch:
+//    - bernoulli         — one WideXoshiro lane per trial, seeded
+//      exactly like the scalar policy stream (base.child(first + k)
+//      .child(0xad50).child(0x6a616d)), one uniform per lane per slot
+//      for 0 < q < 1 and NO draws for degenerate q (the Rng::bernoulli
+//      contract).
+//    - single_denial     — per-lane LeskEstimateMirror u plus a cached
+//      desire bit, refreshed from observe(); the desire for a given u
+//      is memoized on u's bit pattern so the slot_probabilities()
+//      evaluation runs once per distinct estimate, exactly as the
+//      scalar policy would compute it.
+//    - collision_forcer  — same mirror, collision-threshold trigger.
 //
-// The (T, 1-eps) budget filter is replicated per lane with the exact
-// integer recurrence of JammingBudget (adversary/budget.cpp): per-lane
-// B, window_jams and a lane-major ring of the last T jam flags. All
-// lanes advance in lockstep, so the ring cursor is shared. Lane k of a
-// bank constructed with (spec, base, first, count) jams on exactly the
-// slots the scalar make_adversary(spec, base.child(first + k)
-// .child(0xad50)) adversary would jam, bit for bit.
+//    Their (T, 1-eps) budget filter is replicated per lane with the
+//    exact integer recurrence of JammingBudget (adversary/budget.cpp):
+//    per-lane B, window_jams and a lane-major ring of the last T jam
+//    flags. All lanes advance in lockstep, so the ring cursor is
+//    shared.
+//
+// Either way, lane k of a bank constructed with (spec, base, first,
+// count) jams on exactly the slots the scalar make_adversary(spec,
+// base.child(first + k).child(0xad50)) adversary would jam, bit for
+// bit, when both are fed the same public states.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
-#include "adversary/budget.hpp"
+#include "adversary/adversary.hpp"
 #include "sim/adversary_spec.hpp"
 #include "support/rng.hpp"
 #include "support/wide_rng.hpp"
@@ -41,22 +53,21 @@ namespace jamelect {
 
 class LaneAdversaryBank {
  public:
-  /// True iff `spec` names a policy this bank replicates. Policies that
-  /// are lane-invariant (none, saturating, periodic, pulse,
-  /// interval_buster) are handled by the shared-adversary wide path and
-  /// deliberately NOT supported here.
-  [[nodiscard]] static bool supports(const AdversarySpec& spec) noexcept;
+  /// How one slot's jams fall across the live lanes.
+  enum class Jams : std::uint8_t { kNone, kAll, kSome };
 
   /// One lane per trial: lane k replicates
-  /// make_adversary(spec, base.child(first + k).child(0xad50)).
+  /// make_adversary(spec, base.child(first + k).child(0xad50)). A
+  /// policy name make_adversary does not know is a ContractViolation.
   LaneAdversaryBank(const AdversarySpec& spec, const Rng& base,
                     std::size_t first, std::size_t count);
 
   /// Decides and commits one slot for lanes [0, active): jam[k] is set
   /// to 1 iff lane k jams this slot (policy desire AND budget allows).
   /// Equivalent to calling BoundedAdversary::step() on each lane's
-  /// scalar twin.
-  void step(std::uint8_t* jam, std::size_t active);
+  /// scalar twin. The result says whether no, every or only some live
+  /// lanes jam.
+  Jams step(std::uint8_t* jam, std::size_t active);
 
   /// Feeds the slot's public channel state back to each lane's policy;
   /// states[k] uses the wide engines' category codes (0 = Null,
@@ -69,13 +80,21 @@ class LaneAdversaryBank {
   void move_lane(std::size_t dst, std::size_t src);
 
  private:
-  enum class Kind : std::uint8_t { kBernoulli, kSingleDenial, kCollisionForcer };
+  enum class Kind : std::uint8_t {
+    kShared,
+    kBernoulli,
+    kSingleDenial,
+    kCollisionForcer
+  };
 
   [[nodiscard]] bool desire_for(double u);
 
   Kind kind_;
   std::int64_t T_;
   EpsRatio eps_;
+
+  // Lane-invariant policies: the one adversary every lane shares.
+  std::unique_ptr<BoundedAdversary> shared_;
 
   // Per-lane budget state; the ring is lane-major (lane k owns entries
   // [k*T, (k+1)*T)) and all lanes share one cursor (lockstep slots).

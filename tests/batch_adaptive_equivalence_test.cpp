@@ -1,11 +1,14 @@
 // Adaptive (lane-variant) adversary policies on the batch fast path.
 //
 // bernoulli, single_denial and collision_forcer draw or track per-lane
-// state, so the wide engines run them through LaneAdversaryBank
-// (sim/lane_adversary.hpp) — per-lane SoA budget recurrences, tracked
-// public estimates and policy rng streams. The contract is the same
-// bit-identity the lane-invariant policies enjoy: for every adaptive
-// policy, both CD modes (strong-CD aggregate, weak-CD hybrid), every
+// state, so LaneAdversaryBank (sim/lane_adversary.hpp) runs them as
+// per-lane SoA budget recurrences, tracked public estimates and policy
+// rng streams, and the aggregate engine folds their per-lane jams into
+// its fused slot primitive by zeroing the jammed lanes' thresholds.
+// The contract is the same bit-identity the lane-invariant policies
+// enjoy: for every adaptive policy, every batch kernel family (the
+// LESK lattice walk, the fixed-exponent Uniform path and the generic
+// kernels), both CD modes (strong-CD aggregate, weak-CD hybrid), every
 // lane count, and every wide backend (AVX2 and the portable scalar4
 // fallback), a batched chunk == the sequential per-trial reference,
 // outcome field for outcome field. (CI also replays this suite under
@@ -19,8 +22,10 @@
 #include <string>
 #include <vector>
 
+#include "baselines/willard.hpp"
 #include "protocols/lesk.hpp"
 #include "protocols/lesu.hpp"
+#include "protocols/plain_uniform.hpp"
 #include "sim/batch.hpp"
 #include "sim/montecarlo.hpp"
 #include "support/wide_rng.hpp"
@@ -46,7 +51,8 @@ void expect_outcome_eq(const TrialOutcome& a, const TrialOutcome& b,
 }
 
 /// The three adaptive built-ins, each with tuning that actually
-/// exercises its feedback loop at the given n.
+/// exercises its feedback loop at the given n, plus the two degenerate
+/// bernoulli rates.
 [[nodiscard]] std::vector<AdversarySpec> adaptive_policies() {
   std::vector<AdversarySpec> list;
   {
@@ -65,11 +71,33 @@ void expect_outcome_eq(const TrialOutcome& a, const TrialOutcome& b,
     list.push_back(bern_q);
   }
   {
+    // q = 1: every lane desires every slot, so the budget alone decides
+    // and all lanes jam together — the bank's all-jammed slots.
+    AdversarySpec bern_all;
+    bern_all.policy = "bernoulli";
+    bern_all.T = 16;
+    bern_all.eps = 0.5;
+    bern_all.q = 1.0;
+    list.push_back(bern_all);
+  }
+  {
+    // eps = 1: q defaults to 1 - eps = 0, so the policy never jams.
+    AdversarySpec bern_never;
+    bern_never.policy = "bernoulli";
+    bern_never.T = 16;
+    bern_never.eps = 1.0;
+    list.push_back(bern_never);
+  }
+  {
     AdversarySpec denial;
     denial.policy = "single_denial";
     denial.T = 48;
     denial.eps = 0.375;
     denial.threshold = 0.2;
+    // Track the kernels' walk at LESK's own eps: a mirror stepping
+    // slower than the protocol never reaches its trigger before the
+    // election, and then never jams.
+    denial.protocol_eps = 0.5;
     list.push_back(denial);
   }
   {
@@ -77,7 +105,8 @@ void expect_outcome_eq(const TrialOutcome& a, const TrialOutcome& b,
     forcer.policy = "collision_forcer";
     forcer.T = 48;
     forcer.eps = 0.375;
-    forcer.collision_threshold = 0.6;
+    forcer.collision_threshold = 0.9;
+    forcer.protocol_eps = 0.5;
     list.push_back(forcer);
   }
   return list;
@@ -107,55 +136,96 @@ class IsaGuard {
 
 enum class Engine { kAggregate, kHybrid };
 
-/// For every adaptive policy, backend and lane count: trials
+/// One batch kernel and the protocol it stands in for.
+struct KernelCase {
+  const char* name;
+  UniformProtocolFactory factory;
+  BatchKernelSpec spec;
+};
+
+/// One kernel per aggregate code path: the fused LESK lattice walk,
+/// the fixed-exponent Uniform path, and the generic scalar-stepped
+/// kernels (LESU's phase machine and a baseline).
+[[nodiscard]] std::vector<KernelCase> kernel_cases() {
+  return {
+      {"lesk", [] { return std::make_unique<Lesk>(LeskParams{0.5, 0.0}); },
+       LeskParams{0.5, 0.0}},
+      {"lesu", [] { return std::make_unique<Lesu>(LesuParams{}); },
+       LesuParams{}},
+      {"uniform",
+       [] { return std::make_unique<PlainUniform>(PlainUniformParams{6.0}); },
+       PlainUniformParams{6.0}},
+      {"willard", [] { return std::make_unique<Willard>(); },
+       WillardParams{}},
+  };
+}
+
+/// For one kernel and policy, on every backend and lane count: trials
 /// [first, first + count) as one batched chunk must equal the same
-/// trials of the sequential (batch == 0) LESK sweep with seed `seed`.
-void expect_chunks_match_sequential(Engine engine, std::uint64_t seed,
+/// trials of the sequential (batch == 0) sweep with seed `seed`.
+void expect_chunks_match_sequential(Engine engine, const KernelCase& kc,
+                                    const AdversarySpec& adv,
+                                    std::uint64_t seed,
                                     std::int64_t max_slots,
                                     std::size_t first) {
-  const UniformProtocolFactory lesk = [] {
-    return std::make_unique<Lesk>(LeskParams{0.5, 0.0});
-  };
-  const BatchKernelSpec spec{LeskParams{0.5, 0.0}};
+  McConfig seq;
+  seq.trials = first + 29;  // the largest lane count
+  seq.seed = seed;
+  seq.max_slots = max_slots;
+  seq.parallel = false;
+  seq.keep_outcomes = true;
+  const McResult ref = engine == Engine::kAggregate
+                           ? run_aggregate_mc(kc.factory, adv, kN, seq)
+                           : run_hybrid_mc(kc.factory, adv, kN, seq);
+  ASSERT_EQ(ref.outcomes.size(), seq.trials);
+  if (std::string(kc.name) == "lesk" && adv.eps < 1.0) {
+    // Non-vacuous: against LESK every policy here does jam.
+    std::int64_t jams = 0;
+    for (const TrialOutcome& o : ref.outcomes) jams += o.jams;
+    EXPECT_GT(jams, 0) << adv.policy;
+  }
   const BatchConfig cfg{kN, max_slots};
-  for (const AdversarySpec& adv : adaptive_policies()) {
-    McConfig seq;
-    seq.trials = first + 29;  // the largest lane count
-    seq.seed = seed;
-    seq.max_slots = max_slots;
-    seq.parallel = false;
-    seq.keep_outcomes = true;
-    const McResult ref = engine == Engine::kAggregate
-                             ? run_aggregate_mc(lesk, adv, kN, seq)
-                             : run_hybrid_mc(lesk, adv, kN, seq);
-    ASSERT_EQ(ref.outcomes.size(), seq.trials);
-    for (const WideIsa isa : available_isas()) {
-      IsaGuard guard(isa);
-      for (const std::size_t count : kLaneCounts) {
-        std::vector<TrialOutcome> wide(count);
-        if (engine == Engine::kAggregate) {
-          run_batch_aggregate_trials(spec, adv, cfg, Rng(seed), first, count,
-                                     wide.data());
-        } else {
-          run_batch_hybrid_trials(spec, adv, cfg, Rng(seed), first, count,
-                                  wide.data());
-        }
-        const std::string what = adv.policy + "/" + wide_isa_name(isa) +
-                                 "/lanes=" + std::to_string(count);
-        for (std::size_t t = 0; t < count; ++t) {
-          expect_outcome_eq(ref.outcomes[first + t], wide[t], what, t);
-        }
+  for (const WideIsa isa : available_isas()) {
+    IsaGuard guard(isa);
+    for (const std::size_t count : kLaneCounts) {
+      std::vector<TrialOutcome> wide(count);
+      if (engine == Engine::kAggregate) {
+        run_batch_aggregate_trials(kc.spec, adv, cfg, Rng(seed), first, count,
+                                   wide.data());
+      } else {
+        run_batch_hybrid_trials(kc.spec, adv, cfg, Rng(seed), first, count,
+                                wide.data());
+      }
+      const std::string what =
+          std::string(kc.name) + "/" + adv.policy + "/q=" +
+          std::to_string(adv.q) + "/eps=" + std::to_string(adv.eps) + "/" +
+          wide_isa_name(isa) + "/lanes=" + std::to_string(count);
+      for (std::size_t t = 0; t < count; ++t) {
+        expect_outcome_eq(ref.outcomes[first + t], wide[t], what, t);
       }
     }
   }
 }
 
+/// Every kernel case against every adaptive policy.
+void expect_all_chunks_match_sequential(Engine engine, std::uint64_t seed,
+                                        std::int64_t max_slots,
+                                        std::size_t first) {
+  for (const KernelCase& kc : kernel_cases()) {
+    for (const AdversarySpec& adv : adaptive_policies()) {
+      expect_chunks_match_sequential(engine, kc, adv, seed, max_slots, first);
+    }
+  }
+}
+
 TEST(BatchAdaptive, AggregateWideMatchesSequentialPerPolicyAndBackend) {
-  expect_chunks_match_sequential(Engine::kAggregate, 0x5eedULL, kMaxSlots, 2);
+  expect_all_chunks_match_sequential(Engine::kAggregate, 0x5eedULL, kMaxSlots,
+                                     2);
 }
 
 TEST(BatchAdaptive, HybridWideMatchesSequentialPerPolicyAndBackend) {
-  expect_chunks_match_sequential(Engine::kHybrid, 0xabcULL, 2 * kMaxSlots, 0);
+  expect_all_chunks_match_sequential(Engine::kHybrid, 0xabcULL, 2 * kMaxSlots,
+                                     0);
 }
 
 TEST(BatchAdaptive, McSweepMatchesSequentialReferencePerPolicy) {

@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -74,6 +76,40 @@ struct Scenario {
   EngineConfig engine;
 };
 
+/// A spec for `policy` whose tuning makes it act at the test sizes.
+[[nodiscard]] AdversarySpec policy_spec(const std::string& policy) {
+  AdversarySpec spec;
+  spec.policy = policy;
+  spec.T = 48;
+  spec.eps = 0.375;
+  spec.on = 3;
+  spec.off = 2;
+  spec.threshold = 0.2;
+  spec.collision_threshold = 0.9;
+  spec.protocol_eps = 0.5;  // the mirror policies track LESK(0.5) exactly
+  return spec;
+}
+
+/// LESK(0.5) at n = 128 under every policy make_adversary accepts, in
+/// both CD modes (weak CD splits cohorts). The lanes take every
+/// policy's jams from their LaneAdversaryBank: the lane-invariant ones
+/// through its one shared adversary, the adaptive ones through per-lane
+/// state fed by one observe() per slot.
+[[nodiscard]] std::vector<Scenario> policy_scenarios() {
+  std::vector<Scenario> list;
+  for (const std::string& policy : adversary_policy_names()) {
+    const auto factory = [] {
+      return std::make_unique<UniformStationAdapter>(
+          std::make_unique<Lesk>(LeskParams{0.5, 0.0}));
+    };
+    list.push_back({policy.c_str(), factory, policy_spec(policy), 128,
+                    EngineConfig{CdMode::kStrong, StopRule::kAllDone, 20000}});
+    list.push_back({policy.c_str(), factory, policy_spec(policy), 128,
+                    EngineConfig{CdMode::kWeak, StopRule::kAllDone, 2000}});
+  }
+  return list;
+}
+
 [[nodiscard]] std::vector<Scenario> scenarios() {
   std::vector<Scenario> list;
   AdversarySpec none;
@@ -123,7 +159,7 @@ struct Scenario {
                   },
                   sat, 128,
                   EngineConfig{CdMode::kStrong, StopRule::kAllDone, 60000}});
-  // Adaptive adversary: per-lane virtual adversaries must reproduce
+  // Adaptive adversary: the bank's per-lane adversaries must reproduce
   // the sequential per-trial feedback loop exactly.
   list.push_back({"lesk_strong_bernoulli",
                   [] {
@@ -132,6 +168,7 @@ struct Scenario {
                   },
                   bern, 128,
                   EngineConfig{CdMode::kStrong, StopRule::kAllDone, 20000}});
+  for (Scenario& sc : policy_scenarios()) list.push_back(std::move(sc));
   return list;
 }
 
@@ -186,6 +223,32 @@ TEST(CohortBatchEquivalence, AdaptivePolicyBitIdenticalAcrossPoolWidths) {
         run_cohort_mc(sc.factory, sc.adversary, sc.n, sc.engine, config);
     SCOPED_TRACE(workers);
     expect_all_outcomes_eq(seq, batched);
+  }
+}
+
+TEST(CohortBatchEquivalence, EveryPolicyBitIdenticalAcrossPoolWidths) {
+  for (const Scenario& sc : policy_scenarios()) {
+    SCOPED_TRACE(std::string(sc.name) +
+                 (sc.engine.cd == CdMode::kStrong ? "/strong" : "/weak"));
+    const auto seq = run_cohort_mc(sc.factory, sc.adversary, sc.n, sc.engine,
+                                   base_config(24, 313, sc.engine.max_slots));
+    if (sc.adversary.policy != "none") {
+      // Non-vacuous: every jamming policy does jam in this scenario.
+      std::int64_t jams = 0;
+      for (const TrialOutcome& o : seq.outcomes) jams += o.jams;
+      EXPECT_GT(jams, 0);
+    }
+    for (const std::size_t workers : {1u, 3u, 8u}) {
+      ThreadPool pool(workers);
+      McConfig config = base_config(24, 313, sc.engine.max_slots);
+      config.batch = 7;
+      config.parallel = true;
+      config.pool = &pool;
+      const auto batched =
+          run_cohort_mc(sc.factory, sc.adversary, sc.n, sc.engine, config);
+      SCOPED_TRACE(workers);
+      expect_all_outcomes_eq(seq, batched);
+    }
   }
 }
 
@@ -251,8 +314,18 @@ TEST(CohortBatchEquivalence, CohortCapOverflowRetiresToExactRerun) {
   }
   ASSERT_TRUE(exceeded);
 
-  const auto seq = run_cohort_mc(factory, spec, n, engine,
-                                 base_config(kTrials, 733, engine.max_slots));
+  // The rerun steps a one-lane LaneAdversaryBank, which must replay
+  // every policy's sequential jam schedule, not only this one's.
+  std::vector<AdversarySpec> specs{spec};
+  for (const std::string& policy : adversary_policy_names()) {
+    specs.push_back(policy_spec(policy));
+    specs.back().n = n;
+  }
+  std::vector<McResult> seqs;
+  for (const AdversarySpec& adv : specs) {
+    seqs.push_back(run_cohort_mc(factory, adv, n, engine,
+                                 base_config(kTrials, 733, engine.max_slots)));
+  }
   const auto kernel = cohort_batch_spec(factory);
   ASSERT_TRUE(kernel.has_value());
   CohortBatchConfig config;
@@ -265,13 +338,19 @@ TEST(CohortBatchEquivalence, CohortCapOverflowRetiresToExactRerun) {
   const bool was_enabled = reg.enabled();
   reg.reset();
   reg.set_enabled(true);
-  std::vector<TrialOutcome> out(kTrials);
-  run_cohort_batch_trials(*kernel, spec, config, Rng(733), 0, kTrials,
-                          out.data());
+  std::vector<std::vector<TrialOutcome>> outs;
+  for (const AdversarySpec& adv : specs) {
+    outs.emplace_back(kTrials);
+    run_cohort_batch_trials(*kernel, adv, config, Rng(733), 0, kTrials,
+                            outs.back().data());
+  }
   const auto snap = reg.aggregate();
   reg.set_enabled(was_enabled);
-  for (std::size_t t = 0; t < kTrials; ++t) {
-    expect_outcome_eq(seq.outcomes[t], out[t], t);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE(specs[i].policy);
+    for (std::size_t t = 0; t < kTrials; ++t) {
+      expect_outcome_eq(seqs[i].outcomes[t], outs[i][t], t);
+    }
   }
   if constexpr (obs::kObsCompiledIn) {
     // The reruns step one trial at a time: they count as scalar slots.

@@ -45,7 +45,7 @@ UniformProtocolFactory lesk_factory() {
   return [] { return std::make_unique<Lesk>(LeskParams{0.5, 0.0}); };
 }
 
-/// A lane-invariant jamming adversary (the shared-jam-bit wide engine).
+/// A lane-invariant jamming adversary (one shared adversary per chunk).
 AdversarySpec saturating() {
   AdversarySpec spec;
   spec.policy = "saturating";
@@ -68,7 +68,7 @@ McConfig orchestrated(ThreadPool* pool, std::size_t batch = 7) {
   return config;
 }
 
-/// An adaptive policy (the per-lane LaneAdversaryBank wide engine).
+/// An adaptive policy (per-lane LaneAdversaryBank state).
 AdversarySpec bernoulli() {
   AdversarySpec spec;
   spec.policy = "bernoulli";
@@ -144,6 +144,25 @@ TEST(ParallelMc, AdaptivePolicyOutcomesMatchSequentialAcrossPoolSizes) {
 
 TEST(ParallelMc, HybridAdaptivePolicyOutcomesMatchSequentialAcrossPoolSizes) {
   expect_pools_match_sequential(kHybrid, bernoulli(), "hybrid");
+}
+
+TEST(ParallelMc, EveryPolicyOutcomesMatchSequentialAcrossPoolSizes) {
+  // Every policy make_adversary accepts runs on the chunks'
+  // LaneAdversaryBank, shared or per lane: its jams must not depend on
+  // chunking or on the worker either, in both CD modes.
+  for (const std::string& policy : adversary_policy_names()) {
+    AdversarySpec spec;
+    spec.policy = policy;
+    spec.T = 48;
+    spec.eps = 0.375;
+    spec.on = 3;
+    spec.off = 2;
+    spec.threshold = 0.2;
+    spec.collision_threshold = 0.9;
+    spec.protocol_eps = 0.5;  // the mirror policies track LESK(0.5)
+    expect_pools_match_sequential(kAggregate, spec, "aggregate/" + policy);
+    expect_pools_match_sequential(kHybrid, spec, "hybrid/" + policy);
+  }
 }
 
 TEST(ParallelMc, MidRunDrainIsChunkAlignedSubsetOnPinnedPool) {

@@ -73,6 +73,18 @@ TEST(PulsePolicy, DutyCycle) {
   }
 }
 
+TEST(PulsePolicy, RefusesAPeriodThatOverflows) {
+  // desires_jam reduces the slot modulo on + off, which must fit.
+  constexpr std::int64_t kHalf = std::int64_t{1} << 62;
+  EXPECT_THROW(PulsePolicy(kHalf, kHalf), ContractViolation);
+  EXPECT_THROW(PulsePolicy(0, 1), ContractViolation);
+  EXPECT_THROW(PulsePolicy(1, -1), ContractViolation);
+  PulsePolicy widest(kHalf, kHalf - 1);
+  auto b = roomy_budget();
+  EXPECT_TRUE(widest.desires_jam(kHalf - 1, b));
+  EXPECT_FALSE(widest.desires_jam(kHalf, b));
+}
+
 TEST(LeskEstimateMirror, TracksTheWalk) {
   LeskEstimateMirror m(0.5);  // increment eps/8 = 1/16
   EXPECT_DOUBLE_EQ(m.u(), 0.0);

@@ -185,6 +185,26 @@ TEST(SweepRequestJson, FromJsonRejectsOutOfRange) {
   const auto bad_protocol = Json::parse(R"({"protocol":"aloha"})");
   EXPECT_FALSE(
       SweepRequest::from_json(*bad_protocol, limits, &why).has_value());
+  // Requests the compute path would refuse are refused at admission.
+  for (const char* bad :
+       {R"({"engine":"hybrid","n":2})", R"({"adversary":"pulse","on":0})",
+        R"({"adversary":"pulse","off":-1})",
+        R"({"adversary":"pulse","on":4611686018427387904,)"
+        R"("off":4611686018427387904})"}) {
+    const auto doc = Json::parse(bad);
+    ASSERT_TRUE(doc.has_value()) << bad;
+    EXPECT_FALSE(SweepRequest::from_json(*doc, limits, &why).has_value())
+        << bad;
+  }
+  // The same fields stay legal where they apply or are ignored.
+  for (const char* good :
+       {R"({"engine":"hybrid","n":3})", R"({"adversary":"pulse","off":0})",
+        R"({"adversary":"none","on":0,"off":-1})"}) {
+    const auto doc = Json::parse(good);
+    ASSERT_TRUE(doc.has_value()) << good;
+    EXPECT_TRUE(SweepRequest::from_json(*doc, limits, &why).has_value())
+        << good << ": " << why;
+  }
 }
 
 TEST(SweepRequestJson, ParsedRequestKeyMatchesProgrammatic) {

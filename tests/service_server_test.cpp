@@ -168,6 +168,26 @@ TEST(ServiceServer, RngFieldIsA400NotASilentResult) {
   EXPECT_EQ(fx.service->computed(), 0u);
 }
 
+TEST(ServiceServer, RequestsComputeWouldRefuseAre400s) {
+  // A hybrid sweep below n = 3 or a pulse schedule the policy cannot
+  // hold is a client error at admission, not an internal error from
+  // the worker.
+  const ServerFixture fx;
+  const auto sock = fx.connect();
+  for (const std::string params :
+       {R"({"engine":"hybrid","n":2,"trials":4})",
+        R"({"adversary":"pulse","on":0,"trials":4})",
+        R"({"adversary":"pulse","off":-1,"trials":4})",
+        R"({"adversary":"pulse","on":4611686018427387904,)"
+        R"("off":4611686018427387904,"trials":4})"}) {
+    const auto bad =
+        roundtrip(sock.fd(), "{\"op\":\"sweep\",\"params\":" + params + "}");
+    ASSERT_EQ(bad.size(), 1u) << params;
+    EXPECT_EQ(bad.back().find("code")->as_int(), 400) << params;
+  }
+  EXPECT_EQ(fx.service->computed(), 0u);
+}
+
 TEST(ServiceServer, QueueFullSurfacesAs429) {
   ServiceConfig svc_cfg;
   svc_cfg.workers = 1;

@@ -66,8 +66,8 @@ struct Scenario {
   std::uint64_t n;
 };
 
-/// One scenario per kernel, lane-invariant adversaries only (the
-/// shared-jam-bit engine). Small n keeps elections quick, so lanes
+/// One scenario per kernel, lane-invariant adversaries only (one
+/// shared adversary per chunk). Small n keeps elections quick, so lanes
 /// retire at staggered slots — including mid-vector, with live lanes
 /// on both sides of the retired one.
 [[nodiscard]] std::vector<Scenario> scenarios() {
@@ -235,10 +235,10 @@ TEST(WideBatch, HybridCensoredLanesMatchTooOnEveryBackend) {
 }
 
 TEST(WideBatch, UnknownPolicyIsRefusedByTheAggregateLaneEngine) {
-  // The policy alone picks the lane engine, and only the lane-invariant
-  // set and LaneAdversaryBank::supports policies have one: a chunk under
-  // any other name must throw, as the sequential engine does, rather
-  // than run some third path.
+  // Every lane engine takes its jams from a LaneAdversaryBank, which
+  // knows exactly the policies make_adversary knows: a chunk under any
+  // other name must throw, as the sequential engine does, rather than
+  // run without an adversary.
   const Scenario sc = unknown_policy_scenario();
   EXPECT_THROW((void)sequential(Engine::kAggregate, sc, 1, 1000, 0, 4),
                std::invalid_argument);
@@ -308,8 +308,9 @@ TEST(WideBatch, AdaptivePolicyGoesWideBitIdentical) {
 }
 
 TEST(WideBatch, AdaptivePolicyChunkMatchesSequentialBothCdModes) {
-  // A bare chunk under an adaptive policy runs on the LaneAdversaryBank
-  // engines; both CD modes must match the sequential trials.
+  // A bare chunk under an adaptive policy runs on per-lane
+  // LaneAdversaryBank state; both CD modes must match the sequential
+  // trials.
   AdversarySpec bern;
   bern.policy = "bernoulli";
   bern.T = 64;
