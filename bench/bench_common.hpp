@@ -6,9 +6,17 @@
 // the unit of cost is SLOTS — so every case runs exactly once
 // (->Iterations(1)) and the interesting numbers live in the counters.
 //
+// Every Monte-Carlo case fills the pool. mc() runs the batched engines
+// with chunks fitted to the pool width, and the hand-rolled trial loops
+// fan out through per_trial(), which hands the results back in trial
+// order. Trial k draws only from (seed, k), and every fold runs in
+// trial order, so the counters are bit-identical at any pool width:
+// JAMELECT_THREADS changes the chunking, never a counter.
+//
 // Environment knobs:
-//   JAMELECT_BENCH_TRIALS — Monte-Carlo trials per sweep point
-//                           (default 20; raise for smoother curves).
+//   JAMELECT_BENCH_TRIALS — Monte-Carlo trials per sweep point; unset,
+//                           each binary uses its own default (see
+//                           bench/README.md; most use 20).
 //   JAMELECT_THREADS      — thread-pool width for the trial fan-out.
 //   JAMELECT_MANIFEST     — set to 0/off to skip the run manifest;
 //   JAMELECT_MANIFEST_DIR — where to write it (default: cwd).
@@ -16,12 +24,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "analysis/theory.hpp"
 #include "obs/manifest.hpp"
@@ -42,13 +53,39 @@ inline std::size_t trials(std::size_t def = 20) {
   return def;
 }
 
+/// A batched MC config whose chunk size is fitted to the pool: about
+/// one chunk per pool slot (workers + the calling thread), that is
+/// ceil(trials / width) rounded up to whole SIMD lane groups and capped
+/// at 64. Outcomes do not depend on the chunk partition (sim/batch.hpp),
+/// so the fit moves only wall time.
 inline McConfig mc(std::uint64_t seed, std::int64_t max_slots,
                    std::size_t default_trials = 20) {
   McConfig c;
   c.trials = trials(default_trials);
   c.seed = seed;
   c.max_slots = max_slots;
+  const std::size_t width = global_pool().size() + 1;
+  const std::size_t groups =
+      ((c.trials + width - 1) / width + kWideLanes - 1) / kWideLanes;
+  c.batch = std::min<std::size_t>(64, groups * kWideLanes);
   return c;
+}
+
+/// Runs body(Rng(seed).child(k)) for every trial k in [0, count) on
+/// global_pool() and returns the results in trial order, so a bench
+/// that folds the vector front to back gets the same sums as a serial
+/// loop. `body` must not call the pool itself: a nested parallel call
+/// on the one global pool can deadlock.
+template <class Body>
+auto per_trial(std::uint64_t seed, std::size_t count, const Body& body) {
+  using Result = std::invoke_result_t<const Body&, Rng>;
+  // vector<bool> packs bits, so parallel writes to it would race.
+  static_assert(!std::is_same_v<Result, bool>);
+  std::vector<Result> results(count);
+  const Rng base(seed);
+  global_pool().parallel_for(
+      count, [&](std::size_t k) { results[k] = body(base.child(k)); });
+  return results;
 }
 
 /// Standard counter set for one Monte-Carlo result.

@@ -55,9 +55,10 @@ void E04_EstimationAccuracy(benchmark::State& state) {
   double in_range = 0, singles = 0, result_sum = 0, slots_sum = 0,
          completed = 0;
   for (auto _ : state) {
-    const Rng base(0xE04);
-    for (std::size_t k = 0; k < kTrials; ++k) {
-      const auto t = run_estimation(n, T, eps, base.child(k));
+    const auto outcomes = per_trial(0xE04, kTrials, [&](Rng rng) {
+      return run_estimation(n, T, eps, rng);
+    });
+    for (const EstimationTrial& t : outcomes) {
       slots_sum += static_cast<double>(t.slots);
       if (t.single) {
         ++singles;

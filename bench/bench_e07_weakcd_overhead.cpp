@@ -13,8 +13,7 @@ void E07_WeakCdOverhead(benchmark::State& state) {
   const int jam = static_cast<int>(state.range(2));
   const double eps = 0.5;
   AdversarySpec adv = adversary(jam ? "saturating" : "none", 64, eps);
-  auto cfg = mc(0xE07, 1 << 24);
-  cfg.batch = 64;  // aggregate + hybrid batch engines; bit-identical to batch = 0
+  const auto cfg = mc(0xE07, 1 << 24);
 
   const UniformProtocolFactory inner =
       stack == 0 ? lesk_factory(eps) : lesu_factory();

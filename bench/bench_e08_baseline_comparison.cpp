@@ -24,8 +24,7 @@ void E08_Lesk(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(1) << state.range(0);
   const int jam = static_cast<int>(state.range(1));
   AdversarySpec adv = adversary(jam ? "saturating" : "none", kT, kEps);
-  McConfig cfg = mc(0xE08, 1 << 22);
-  cfg.batch = 64;  // batched kernel engine; bit-identical to batch = 0
+  const McConfig cfg = mc(0xE08, 1 << 22);
   McResult res;
   for (auto _ : state) res = run_aggregate_mc(lesk_factory(kEps), adv, n, cfg);
   report(state, res);
@@ -41,8 +40,7 @@ void E08_Lesu(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(1) << state.range(0);
   const int jam = static_cast<int>(state.range(1));
   AdversarySpec adv = adversary(jam ? "saturating" : "none", kT, kEps);
-  McConfig cfg = mc(0xE08, 1 << 22);
-  cfg.batch = 64;
+  const McConfig cfg = mc(0xE08, 1 << 22);
   McResult res;
   for (auto _ : state) res = run_aggregate_mc(lesu_factory(), adv, n, cfg);
   report(state, res);
@@ -78,8 +76,7 @@ void E08_Willard(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(1) << state.range(0);
   const int jam = static_cast<int>(state.range(1));
   AdversarySpec adv = adversary(jam ? "saturating" : "none", kT, kEps);
-  McConfig cfg = mc(0xE08, 1 << 18);  // it fails under jamming: cap it
-  cfg.batch = 64;
+  const McConfig cfg = mc(0xE08, 1 << 18);  // it fails under jamming: cap it
   McResult res;
   for (auto _ : state) {
     res = run_aggregate_mc([] { return std::make_unique<Willard>(); }, adv, n,
@@ -95,8 +92,7 @@ void E08_NakanoOlariu(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(1) << state.range(0);
   const int jam = static_cast<int>(state.range(1));
   AdversarySpec adv = adversary(jam ? "saturating" : "none", kT, kEps);
-  McConfig cfg = mc(0xE08, 1 << 18);
-  cfg.batch = 64;
+  const McConfig cfg = mc(0xE08, 1 << 18);
   McResult res;
   for (auto _ : state) {
     res = run_aggregate_mc([] { return std::make_unique<NakanoOlariu>(); },
@@ -120,22 +116,16 @@ void E08_ArssLargeN(benchmark::State& state) {
   std::vector<double> slots, jams, energy;
   std::size_t successes = 0;
   for (auto _ : state) {
-    // Trial t's streams derive from base.child(t) alone, so the pool
-    // runs trials in any order and the summary below stays in trial
-    // order.
-    const Rng base(0xE08F);
-    std::vector<TrialOutcome> outcomes(kTrials);
-    global_pool().parallel_for(kTrials, [&](std::size_t t) {
+    const auto outcomes = per_trial(0xE08F, kTrials, [&](Rng rng) {
       ArssFlockConfig config;
       config.n = n;
       config.params.gamma = gamma;
       config.max_slots = 1 << 22;
       AdversarySpec spec = adversary(jam ? "saturating" : "none", kT, kEps);
       spec.n = n;
-      Rng rng = base.child(t);
       auto adv = make_adversary(spec, rng.child(1));
       Rng sim = rng.child(2);
-      outcomes[t] = run_arss_flock(config, *adv, sim);
+      return run_arss_flock(config, *adv, sim);
     });
     slots.clear();
     jams.clear();
@@ -167,8 +157,7 @@ void E08_NoCd(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(1) << state.range(0);
   const int jam = static_cast<int>(state.range(1));
   AdversarySpec adv = adversary(jam ? "saturating" : "none", kT, kEps);
-  McConfig cfg = mc(0xE08, 1 << 18);
-  cfg.batch = 64;
+  const McConfig cfg = mc(0xE08, 1 << 18);
   McResult res;
   for (auto _ : state) {
     res = run_aggregate_mc(

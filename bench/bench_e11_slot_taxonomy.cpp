@@ -21,22 +21,26 @@ void E11_SlotTaxonomy(benchmark::State& state) {
   const std::int64_t T = burst ? 4096 : 64;
   const std::size_t kTrials = trials(20);
 
+  struct TrialTaxonomy {
+    TaxonomyCounts counts;
+    bool holds = false;
+  };
   TaxonomyCounts agg;
   bool relations_hold = true;
   for (auto _ : state) {
-    const Rng base(0xE11);
-    for (std::size_t k = 0; k < kTrials; ++k) {
+    const auto classified = per_trial(0xE11, kTrials, [&](Rng rng) {
       Lesk lesk(eps);
       AdversarySpec spec = adversary(policy_str, T, eps);
       spec.n = n;
-      Rng rng = base.child(k);
       auto adv = make_adversary(spec, rng.child(1));
       Rng sim = rng.child(2);
       Trace trace;
       (void)run_aggregate(lesk, *adv, {n, 1 << 22}, sim, &trace);
       const auto counts = classify_trace(trace, n, eps);
-      relations_hold =
-          relations_hold && lemma23_bounds(counts, n, eps).holds();
+      return TrialTaxonomy{counts, lemma23_bounds(counts, n, eps).holds()};
+    });
+    for (const auto& [counts, holds] : classified) {
+      relations_hold = relations_hold && holds;
       agg.regular += counts.regular;
       agg.irregular_silence += counts.irregular_silence;
       agg.irregular_collision += counts.irregular_collision;

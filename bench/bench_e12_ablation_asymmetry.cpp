@@ -20,21 +20,27 @@ constexpr std::int64_t kMaxSlots = 1 << 17;
 template <typename Protocol>
 void run_arm(benchmark::State& state, double eps) {
   const std::size_t kTrials = trials(20);
+  struct ArmTrial {
+    bool elected = false;
+    std::int64_t slots = 0;
+    double estimate = 0;
+  };
   double successes = 0, slots_sum = 0, final_u = 0;
   for (auto _ : state) {
-    const Rng base(0xE12);
-    for (std::size_t k = 0; k < kTrials; ++k) {
+    const auto outcomes = per_trial(0xE12, kTrials, [&](Rng rng) {
       Protocol proto;
       AdversarySpec spec = adversary("saturating", 64, eps);
       spec.n = kN;
       spec.protocol_eps = eps;
-      Rng rng = base.child(k);
       auto adv = make_adversary(spec, rng.child(1));
       Rng sim = rng.child(2);
       const auto out = run_aggregate(proto, *adv, {kN, kMaxSlots}, sim);
-      successes += out.elected ? 1 : 0;
-      slots_sum += static_cast<double>(out.slots);
-      final_u += proto.estimate();
+      return ArmTrial{out.elected, out.slots, proto.estimate()};
+    });
+    for (const ArmTrial& t : outcomes) {
+      successes += t.elected ? 1 : 0;
+      slots_sum += static_cast<double>(t.slots);
+      final_u += t.estimate;
     }
   }
   const auto td = static_cast<double>(kTrials);

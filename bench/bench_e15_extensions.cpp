@@ -31,16 +31,16 @@ void E15_SizeApproximation(benchmark::State& state) {
 
   double abs_err_sum = 0.0, worst = 0.0;
   for (auto _ : state) {
-    const Rng base(0xE15);
-    for (std::size_t k = 0; k < kTrials; ++k) {
+    const auto errors = per_trial(0xE15, kTrials, [&](Rng rng) {
       SizeApproximation approx({eps, budget});
       AdversarySpec spec = adversary(jam ? "saturating" : "none", 64, eps);
       spec.n = n;
-      Rng rng = base.child(k);
       auto adv = make_adversary(spec, rng.child(1));
       Rng sim = rng.child(2);
       (void)run_aggregate(approx, *adv, {n, budget}, sim);
-      const double err = std::abs(approx.estimate_log2n() - log2n);
+      return std::abs(approx.estimate_log2n() - log2n);
+    });
+    for (const double err : errors) {
       abs_err_sum += err;
       worst = std::max(worst, err);
     }
@@ -65,8 +65,7 @@ void E15_KSelection(benchmark::State& state) {
   double slots_sum = 0.0, first_round = 0.0, later_rounds = 0.0;
   std::size_t later_count = 0;
   for (auto _ : state) {
-    const Rng base(0xE15C);
-    for (std::size_t t = 0; t < kTrials; ++t) {
+    const auto results = per_trial(0xE15C, kTrials, [&](Rng rng) {
       KSelectionParams params;
       params.n = n;
       params.k = k;
@@ -74,10 +73,11 @@ void E15_KSelection(benchmark::State& state) {
       params.warm_start = warm != 0;
       AdversarySpec spec = adversary("saturating", 64, 0.5);
       spec.n = n;
-      Rng rng = base.child(t);
       auto adv = make_adversary(spec, rng.child(1));
       Rng sim = rng.child(2);
-      const auto res = run_k_selection(params, *adv, sim);
+      return run_k_selection(params, *adv, sim);
+    });
+    for (const KSelectionResult& res : results) {
       slots_sum += static_cast<double>(res.slots);
       if (!res.slots_per_round.empty()) {
         first_round += static_cast<double>(res.slots_per_round.front());

@@ -36,16 +36,16 @@ for b in "$BUILD_DIR"/bench/bench_*; do
   [ -x "$b" ] || continue
   name=$(basename "$b")
   echo "== $name"
+  # One run writes both series: the console table to the .txt, and the
+  # JSON to the file --benchmark_out names. JSON, not CSV: the CSV
+  # reporter aborts when benches carry different counter sets.
   # Write to the file first, then echo it: a pipeline into tee would
   # report tee's exit status and let a crashing bench pass silently.
-  "$b" --benchmark_format=console > "$OUT_DIR/$name.txt"
-  cat "$OUT_DIR/$name.txt"
   # Keep stderr visible — hiding it used to mask failures; set -e plus
-  # the un-redirected exit status now abort the sweep on any error.
-  # JSON, not CSV: the CSV reporter aborts when benches carry different
-  # counter sets (sequential baselines have no "batch" counter), and
-  # nothing consumed the CSVs anyway.
-  "$b" --benchmark_format=json > "$OUT_DIR/$name.json"
+  # the un-redirected exit status abort the sweep on any error.
+  "$b" --benchmark_out="$OUT_DIR/$name.json" --benchmark_out_format=json \
+    > "$OUT_DIR/$name.txt"
+  cat "$OUT_DIR/$name.txt"
 done
 # Aggregate batch-kernel counters across every run manifest: how much
 # of the sweep ran on the wide (SIMD) kernel vs the scalar path, and how

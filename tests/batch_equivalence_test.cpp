@@ -9,14 +9,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "baselines/arss.hpp"
 #include "protocols/estimation.hpp"
 #include "protocols/lesk.hpp"
 #include "protocols/lesu.hpp"
 #include "protocols/plain_uniform.hpp"
 #include "sim/montecarlo.hpp"
+#include "support/thread_pool.hpp"
 
 namespace jamelect {
 namespace {
@@ -165,6 +169,84 @@ TEST(BatchEquivalence, StreamingSummariesMatchSequential) {
             batched.energy_per_station.mean);
   EXPECT_TRUE(reference.outcomes.empty());
   EXPECT_TRUE(batched.outcomes.empty());
+}
+
+/// The streaming summary fields the figure benches report (and the
+/// service serializes), compared to the last bit.
+void expect_summaries_eq(const McResult& a, const McResult& b,
+                         const std::string& where) {
+  EXPECT_EQ(a.trials, b.trials) << where;
+  EXPECT_EQ(a.slots.mean, b.slots.mean) << where;
+  EXPECT_EQ(a.slots.median, b.slots.median) << where;
+  EXPECT_EQ(a.slots.p95, b.slots.p95) << where;
+  EXPECT_EQ(a.slots.p99, b.slots.p99) << where;
+  EXPECT_EQ(a.success.rate, b.success.rate) << where;
+  EXPECT_EQ(a.success.lower, b.success.lower) << where;
+  EXPECT_EQ(a.jams.mean, b.jams.mean) << where;
+  EXPECT_EQ(a.energy_per_station.mean, b.energy_per_station.mean) << where;
+}
+
+/// Runs `run` sequentially (batch 0, no pool) and then at every chunk
+/// size in {1, 4, 5, 8, 64} on pools of 1 and 3 workers, all streaming
+/// (keep_outcomes == false), and expects identical summaries. 37 trials
+/// is a multiple of none of the chunk sizes above 1.
+void expect_streaming_summaries_chunk_invariant(
+    const std::function<McResult(const McConfig&)>& run,
+    const std::string& what) {
+  McConfig seq = base_config(37, 0x5eedULL, 30000);
+  seq.keep_outcomes = false;
+  const McResult reference = run(seq);
+  ASSERT_EQ(reference.trials, seq.trials) << what;
+  ThreadPool pool1(1);
+  ThreadPool pool3(3);
+  for (const std::size_t batch : {1u, 4u, 5u, 8u, 64u}) {
+    for (ThreadPool* pool : {&pool1, &pool3}) {
+      McConfig cfg = seq;
+      cfg.batch = batch;
+      cfg.parallel = true;
+      cfg.pool = pool;
+      const McResult batched = run(cfg);
+      EXPECT_TRUE(batched.outcomes.empty());
+      expect_summaries_eq(reference, batched,
+                          what + " batch=" + std::to_string(batch) +
+                              " pool=" + std::to_string(pool->size()));
+    }
+  }
+}
+
+TEST(BatchEquivalence, StreamingSummariesAcrossChunkSizesAndPools) {
+  // The bench counters come from streaming summaries at a chunk size
+  // fitted to the pool width, so those summaries must not depend on
+  // the chunk partition or on which worker folded which chunk.
+  for (const Scenario& sc : scenarios()) {
+    expect_streaming_summaries_chunk_invariant(
+        [&](const McConfig& cfg) {
+          return run_aggregate_mc(sc.factory, sc.adversary, sc.n, cfg);
+        },
+        "aggregate " + sc.adversary.policy);
+    expect_streaming_summaries_chunk_invariant(
+        [&](const McConfig& cfg) {
+          return run_hybrid_mc(sc.factory, sc.adversary, sc.n, cfg);
+        },
+        "hybrid " + sc.adversary.policy);
+  }
+  AdversarySpec sat;
+  sat.policy = "saturating";
+  sat.T = 32;
+  sat.eps = 0.5;
+  constexpr std::uint64_t kStations = 24;
+  ArssParams params;
+  params.gamma = arss_gamma(kStations, 16);
+  const EngineConfig engine{CdMode::kStrong, StopRule::kAllDone, 30000};
+  expect_streaming_summaries_chunk_invariant(
+      [&](const McConfig& cfg) {
+        return run_station_mc(
+            [params](StationId) -> StationProtocolPtr {
+              return std::make_unique<ArssStation>(params);
+            },
+            sat, kStations, engine, cfg);
+      },
+      "station arss saturating");
 }
 
 TEST(BatchEquivalence, NonKernelizableFactoryFallsBack) {
