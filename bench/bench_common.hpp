@@ -17,7 +17,10 @@
 //   JAMELECT_BENCH_TRIALS — Monte-Carlo trials per sweep point; unset,
 //                           each binary uses its own default (see
 //                           bench/README.md; most use 20).
-//   JAMELECT_THREADS      — thread-pool width for the trial fan-out.
+//   JAMELECT_THREADS      — pool workers for the trial fan-out; the
+//                           caller joins them (width = workers + 1).
+//                           Unset: hardware concurrency - 1 workers,
+//                           so the width is the hardware concurrency.
 //   JAMELECT_MANIFEST     — set to 0/off to skip the run manifest;
 //   JAMELECT_MANIFEST_DIR — where to write it (default: cwd).
 #pragma once
@@ -168,8 +171,9 @@ inline int bench_main(int argc, char** argv) {
   benchmark::AddCustomContext("jamelect_wide_isa",
                               wide_isa_name(active_wide_isa()));
   // Effective trial fan-out width: pool workers + the participating
-  // caller (JAMELECT_THREADS or hardware concurrency). The parallel
-  // orchestration cases' numbers only mean anything relative to this.
+  // caller (JAMELECT_THREADS + 1, or the hardware concurrency). The
+  // parallel orchestration cases' numbers only mean anything relative
+  // to this.
   benchmark::AddCustomContext("jamelect_threads",
                               std::to_string(global_pool().size() + 1));
 

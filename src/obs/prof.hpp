@@ -41,8 +41,9 @@ class TraceEventRecorder;
 /// Closed phase vocabulary. Engine phases attribute slot-processing
 /// time; service phases attribute request lifetime. `classify` on the
 /// fused aggregate path includes the RNG advance (the kernels fuse
-/// draw + classification into one pass) under every policy; the hybrid
-/// lane engine draws in a pass of its own, timed as `rng`.
+/// draw + classification into one pass) under every policy, as do the
+/// hybrid lanes' category roles; only the hybrid Bernoulli roles draw
+/// in a pass of their own, timed as `rng`.
 enum class Phase : std::uint8_t {
   kRng,
   kClassify,

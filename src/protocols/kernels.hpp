@@ -122,9 +122,12 @@ struct EstimationKernel {
 
   /// p = 2^-2^round; Estimation stores this as exp2(-ldexp(1, round)),
   /// which equals transmit_probability(ldexp(1, round)) bit for bit
-  /// (the min(1, ·) clamp never binds for round >= 1).
+  /// (the min(1, ·) clamp never binds for round >= 1). 2^round is built
+  /// from the integer power (exact for round < 62, which begin_round
+  /// enforces): the same double as ldexp(1, round), without a libm call
+  /// in the batch lanes' per-slot kernel refresh.
   [[nodiscard]] double broadcast_u() const noexcept {
-    return std::ldexp(1.0, static_cast<int>(round));
+    return static_cast<double>(std::uint64_t{1} << round);
   }
   [[nodiscard]] bool done() const noexcept { return elected; }
 
@@ -232,9 +235,9 @@ struct LesuKernel {
   }
 };
 
-// The batch engine copies kernels by memcpy semantics (lane swap-
-// remove, clone-at-split in the hybrid phase machine); these hold that
-// contract at compile time.
+// The batch engines copy kernels by memcpy semantics (lane swap-
+// remove, and the hybrid lanes' phase-partition swaps); these hold
+// that contract at compile time.
 static_assert(std::is_trivially_copyable_v<UniformKernel>);
 static_assert(std::is_trivially_copyable_v<LeskKernel>);
 static_assert(std::is_trivially_copyable_v<EstimationKernel>);

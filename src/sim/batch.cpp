@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "baselines/baseline_kernels.hpp"
@@ -50,14 +51,6 @@ template <>
 struct KernelFor<NoCdElectionParams> {
   using type = kernels::NoCdKernel;
 };
-
-void record_state(TrialOutcome& o, ChannelState state) {
-  switch (state) {
-    case ChannelState::kNull: ++o.nulls; break;
-    case ChannelState::kSingle: ++o.singles; break;
-    case ChannelState::kCollision: ++o.collisions; break;
-  }
-}
 
 /// Per-thread reusable chunk state for the multi-core orchestrator.
 ///
@@ -143,17 +136,6 @@ class BatchWorkspace {
   thread_local BatchWorkspace workspace;
   return workspace;
 }
-
-/// A kernel slot that may be unoccupied — the batch mirror of the
-/// UniformProtocolPtr null/reset dance in run_hybrid_notification.
-template <class Kernel>
-struct MaybeKernel {
-  Kernel kernel;
-  bool valid = false;
-};
-
-/// The P1..P4 phase machine of run_hybrid_notification.
-enum class HybridPhase : std::uint8_t { kP1, kP2, kP3, kP4, kDone };
 
 /// SIMD-wide strong-CD aggregate lanes: the SoA mirror of
 /// run_aggregate (sim/aggregate.cpp) — one uniform() per slot and one
@@ -327,10 +309,10 @@ void aggregate_lanes_wide(const typename Kernel::Params& params,
     }
     bool any_single;
     if constexpr (kIsLesk) {
-      any_single =
-          ops.clean_slot_lesk(*slot_block, us.data(), lesk_inc, groups);
+      any_single = ops.clean_slot_lesk(*slot_block, us.data(), lesk_inc,
+                                       groups * kWideLanes);
     } else {
-      any_single = ops.clean_slot(*slot_block, groups);
+      any_single = ops.clean_slot(*slot_block, groups * kWideLanes);
     }
     bank.observe(states.data(), active);
     prof.stop(obs::Phase::kClassify);
@@ -386,24 +368,47 @@ void aggregate_lanes_wide(const typename Kernel::Params& params,
   workspace.emit_cache_counters();
 }
 
-/// What a hybrid lane wants from the rng this slot (pass A result).
-enum class DrawKind : std::uint8_t { kNone = 0, kCategory, kBernoulli };
-
-/// SIMD-wide weak-CD hybrid Notification lanes. The P1..P4 phase
-/// machine stays scalar (per-slot work varies per lane), but the slot
-/// is split into three passes so the rng advance — the hot, uniform
-/// part — happens wide: pass A records each lane's draw request (the
-/// draws of run_hybrid_notification's slot body, replaced by
-/// requests), pass B advances every drawing lane in one masked wide
-/// step, pass C consumes the draws and runs the post-state transitions.
-/// Lanes make at most one draw per slot, so per-lane draw order — and
-/// hence bit identity with the sequential engine — is preserved
-/// exactly.
+/// SIMD-wide weak-CD hybrid Notification lanes: the SoA mirror of
+/// run_hybrid_notification (sim/hybrid.cpp).
 ///
-/// The jams come from a LaneAdversaryBank (sim/lane_adversary.hpp):
-/// per-lane jam bits, observed states fed back after every slot
-/// (padding included, matching the sequential engine's per-slot
-/// observe()).
+/// Lanes stay partitioned by phase — [0, b1) P1, [b1, b2) P2, [b2, b3)
+/// P3, [b3, active) P4 — and the slot's interval set fixes what each
+/// phase does in it, so every phase range takes one role for the whole
+/// slot and runs as one contiguous pass with no per-lane phase switch:
+///
+///         C1                  C2                   C3       padding
+///   P1    category at n       idle                 idle     idle
+///   P2    Bernoulli (l_a)     category at n - 1    idle     idle
+///   P3    fixed count n - 2   Bernoulli (s_a)      fixed 1  idle
+///   P4    idle                idle                 fixed 1  idle
+///
+/// A category role is the aggregate lanes' machinery: lookup_lanes,
+/// then one fused classify (+ LESK lattice step) primitive over the
+/// range. A Bernoulli role reads p from the cache entry (the same
+/// transmit_probability(u) double) and compares a masked draw r < p;
+/// p <= 0 and p >= 1 draw nothing, as in Rng::bernoulli. Fixed and idle
+/// roles draw nothing.
+///
+/// One kernel per lane suffices: every kernel the sequential engine
+/// consults is rebuilt at the start of its interval (P1's and P2's at
+/// each C1 start, P2's and P3's at each C2 start), and its two clones
+/// (l_a at P1 -> P2, s_a at P2 -> P3) continue the lane's live kernel
+/// after one Collision step. No kernel is ever shown a Single.
+///
+/// Phases change only on the events that fire them — a Single of P1 in
+/// C1, of P2 in C2 or of P3 in C3, and a Null of P4 in C1 (done) — and
+/// a changing lane swaps with the last lane of its range, which moves
+/// the boundary past it. A swap carries everything the lane owns: its
+/// rng stream, adversary bank state, kernel and accumulators.
+///
+/// Exactness: a lane draws at most once per slot, at the point of its
+/// per-trial stream the sequential engine would, and every double is
+/// the sequential engine's expression; moves only happen after the
+/// slot's draws and the bank's observe, so lane order never reaches a
+/// result. Idle slots add nothing to transmissions (x + 0.0 == x for
+/// the non-negative sums here). Per-lane nulls/singles/jams/
+/// transmissions are SoA accumulators, slots a chunk scalar, and
+/// collisions fall out as slots - nulls - singles.
 template <class Kernel>
 void hybrid_lanes_wide(const typename Kernel::Params& params,
                        const AdversarySpec& spec, const BatchConfig& config,
@@ -411,35 +416,39 @@ void hybrid_lanes_wide(const typename Kernel::Params& params,
                        TrialOutcome* out) {
   JAMELECT_EXPECTS(config.n >= 3);
   JAMELECT_EXPECTS(config.max_slots >= 1);
+  constexpr bool kIsLesk = std::is_same_v<Kernel, kernels::LeskKernel>;
+
   LaneAdversaryBank bank(spec, base, first, count);
   const std::uint64_t n = config.n;
   BatchWorkspace& workspace = local_batch_workspace();
   SlotProbCache& cache_n = workspace.cache(n);
   SlotProbCache& cache_nm1 = workspace.cache(n - 1);
-  if constexpr (std::is_same_v<Kernel, kernels::LeskKernel>) {
-    const double inc = Kernel(params).inc;
-    cache_n.set_lattice_step(inc);
-    cache_nm1.set_lattice_step(inc);
+  const Kernel fresh(params);
+  double lesk_inc = 0.0;
+  if constexpr (kIsLesk) {
+    lesk_inc = fresh.inc;
+    cache_n.set_lattice_step(lesk_inc);
+    cache_nm1.set_lattice_step(lesk_inc);
   }
 
+  const wide::SlotOps& ops = wide::slot_ops(active_wide_isa());
   WideXoshiro rng(count);
   const std::size_t padded = rng.padded_lanes();
 
-  std::vector<HybridPhase> phases(count, HybridPhase::kP1);
-  std::vector<MaybeKernel<Kernel>> shared(count, {Kernel(params), false});
-  std::vector<MaybeKernel<Kernel>> l_a(count, {Kernel(params), false});
-  std::vector<MaybeKernel<Kernel>> s_a(count, {Kernel(params), false});
+  // Per-lane state: us[k] is the broadcast exponent of lane k's live
+  // kernel (LESK's whole state); other kernels keep theirs in kerns[k].
+  std::vector<double> us(padded, fresh.broadcast_u());
+  std::vector<Kernel> kerns;
+  if constexpr (!kIsLesk) kerns.assign(count, fresh);
+  std::vector<double> transmissions(padded, 0.0);
+  std::vector<std::int64_t> nulls(padded, 0), singles(padded, 0);
+  std::vector<std::int64_t> jams(padded, 0);
   std::vector<std::uint32_t> lane_trial(count);
-  std::vector<TrialOutcome> acc(count);
-
-  // Per-slot scratch, SoA so pass B is one wide masked advance.
-  std::vector<DrawKind> draw(count, DrawKind::kNone);
-  std::vector<std::uint64_t> fixed_cnt(count, 0);
-  std::vector<double> thr0(count, 0.0), thr1(count, 0.0), slot_tx(count, 0.0);
-  std::vector<std::uint8_t> mask(padded, 0);
-  std::vector<double> r(padded, 0.0);
-  std::vector<std::uint8_t> jam(count, 0);
-  std::vector<std::int64_t> lane_states(count, 0);  // fed to observe()
+  // Per-slot scratch.
+  std::vector<double> c_null(padded), c_single(padded), exp_tx(padded);
+  std::vector<double> p(padded, 0.0), r(padded, 0.0);
+  std::vector<std::int64_t> states(padded, 0);
+  std::vector<std::uint8_t> jam(padded, 0), mask(padded, 0);
 
   for (std::size_t k = 0; k < count; ++k) {
     rng.seed_lane(k, base.child(first + k).child(0x51e0).seed());
@@ -447,249 +456,263 @@ void hybrid_lanes_wide(const typename Kernel::Params& params,
   }
 
   std::size_t active = count;
+  std::size_t b1 = count, b2 = count, b3 = count;  // phase range ends
+  std::int64_t slots_done = 0;  // == every live lane's slot count
   std::int64_t slots_total = 0;
-  // Phase attribution (stitched, one clock read per boundary): pass A
-  // (kernel u reads + slot-prob cache probes) -> cache_lookup, pass B
-  // (the wide masked uniform advance) -> rng, pass C (draw consumption,
-  // outcome accounting, phase transitions) -> classify, retirement
-  // compaction -> lattice_update.
+  LaneAdversaryBank::Jams jammed = LaneAdversaryBank::Jams::kNone;
+
+  // Phase attribution (stitched, one clock read per boundary): the
+  // slot probabilities the roles read are `cache_lookup`, the
+  // Bernoulli roles' masked advance is `rng`, the bank's step and
+  // observe plus every role pass are `classify` (the category passes
+  // fuse draw and classification), and phase changes and retirement
+  // are `lattice_update`. Off = one dead branch per section; never
+  // touches the draw sequence.
   obs::PhaseAccumulator prof;
-  for (Slot slot = 0; slot < config.max_slots && active > 0; ++slot) {
-    const IntervalPosition pos = classify_slot(slot);
-    slots_total += static_cast<std::int64_t>(active);
-    bank.step(jam.data(), active);
 
-    if (pos.set == IntervalSet::kPadding) {
-      // Nobody draws or acts in padding: the slot is a Null (or a
-      // jammed Collision) for every lane, and no phase can complete
-      // (every transition keys on C1..C3), so no retirement check.
-      // The adversary still observes the padding slots — the
-      // sequential engine feeds it every slot too.
-      prof.start();
-      for (std::size_t lane = 0; lane < active; ++lane) {
-        const bool jl = jam[lane] != 0;
-        const ChannelState state = resolve_slot(0, jl);
-        TrialOutcome& o = acc[lane];
-        ++o.slots;
-        if (jl) ++o.jams;
-        record_state(o, state);
-        lane_states[lane] = static_cast<std::int64_t>(state);
-      }
-      bank.observe(lane_states.data(), active);
-      prof.stop(obs::Phase::kClassify);
-      continue;
-    }
-
-    // Pass A: record each lane's draw request for this slot.
-    prof.start();
-    for (std::size_t lane = 0; lane < active; ++lane) {
-      DrawKind d = DrawKind::kNone;
-      std::uint64_t fc = 0;
-      double t0 = 0.0;
-      double t1 = 0.0;
-      double ex = 0.0;
-      switch (phases[lane]) {
-        case HybridPhase::kP1:
-          if (pos.set == IntervalSet::kC1) {
-            if (pos.interval_start() || !shared[lane].valid) {
-              shared[lane] = {Kernel(params), true};
-            }
-            const SlotProbCache::Entry& e =
-                cache_n.lookup(shared[lane].kernel.broadcast_u());
-            ex = e.exp_tx;
-            d = DrawKind::kCategory;
-            t0 = e.c_null;
-            t1 = e.c_single;
-          }
-          break;
-        case HybridPhase::kP2:
-          if (pos.set == IntervalSet::kC1) {
-            if (pos.interval_start() || !l_a[lane].valid) {
-              l_a[lane] = {Kernel(params), true};
-            }
-            const double p =
-                transmit_probability(l_a[lane].kernel.broadcast_u());
-            ex = p;
-            // Rng::bernoulli consumes a draw only for p in (0, 1);
-            // the degenerate cases have a fixed result.
-            if (p <= 0.0) {
-              fc = 0;
-            } else if (p >= 1.0) {
-              fc = 1;
-            } else {
-              d = DrawKind::kBernoulli;
-              t0 = p;
-            }
-          } else if (pos.set == IntervalSet::kC2) {
-            if (pos.interval_start() || !shared[lane].valid) {
-              shared[lane] = {Kernel(params), true};
-            }
-            const SlotProbCache::Entry& e =
-                cache_nm1.lookup(shared[lane].kernel.broadcast_u());
-            ex = e.exp_tx;
-            d = DrawKind::kCategory;
-            t0 = e.c_null;
-            t1 = e.c_single;
-          }
-          break;
-        case HybridPhase::kP3:
-          if (pos.set == IntervalSet::kC1) {
-            fc = n - 2;  // all of R confirms; n >= 3 so fc >= 1
-            ex = static_cast<double>(n - 2);
-          } else if (pos.set == IntervalSet::kC2) {
-            if (pos.interval_start() || !s_a[lane].valid) {
-              s_a[lane] = {Kernel(params), true};
-            }
-            const double p =
-                transmit_probability(s_a[lane].kernel.broadcast_u());
-            ex = p;
-            if (p <= 0.0) {
-              fc = 0;
-            } else if (p >= 1.0) {
-              fc = 1;
-            } else {
-              d = DrawKind::kBernoulli;
-              t0 = p;
-            }
-          } else {  // C3: l announces
-            fc = 1;
-            ex = 1.0;
-          }
-          break;
-        case HybridPhase::kP4:
-          if (pos.set == IntervalSet::kC3) {
-            fc = 1;  // l keeps announcing until released
-            ex = 1.0;
-          }
-          break;
-        case HybridPhase::kDone:
-          break;  // unreachable: done lanes retire the slot they finish
-      }
-      draw[lane] = d;
-      mask[lane] = d == DrawKind::kNone ? 0 : 1;
-      fixed_cnt[lane] = fc;
-      thr0[lane] = t0;
-      thr1[lane] = t1;
-      slot_tx[lane] = ex;
-    }
-    const std::size_t groups = (active + kWideLanes - 1) / kWideLanes;
-    for (std::size_t lane = active; lane < groups * kWideLanes; ++lane) {
-      mask[lane] = 0;  // pad lanes must not advance
-    }
-    prof.stop(obs::Phase::kCacheLookup);
-
-    // Pass B: one wide advance covering every lane that draws.
-    rng.uniform_masked(groups, mask.data(), r.data());
-    prof.stop(obs::Phase::kRng);
-
-    // Pass C: consume the draws — classification, outcome accounting,
-    // and the post-state transitions of run_hybrid_notification.
-    for (std::size_t lane = 0; lane < active; ++lane) {
-      std::uint64_t cnt = fixed_cnt[lane];
-      if (draw[lane] == DrawKind::kCategory) {
-        cnt = r[lane] < thr0[lane] ? 0 : (r[lane] < thr1[lane] ? 1 : 2);
-      } else if (draw[lane] == DrawKind::kBernoulli) {
-        cnt = r[lane] < thr0[lane] ? 1 : 0;
-      }
-      const bool jammed = jam[lane] != 0;
-      const ChannelState state = resolve_slot(cnt, jammed);
-
-      TrialOutcome& o = acc[lane];
-      ++o.slots;
-      o.transmissions += slot_tx[lane];
-      if (jammed) ++o.jams;
-      record_state(o, state);
-      lane_states[lane] = static_cast<std::int64_t>(state);
-
-      switch (phases[lane]) {
-        case HybridPhase::kP1:
-          if (pos.set == IntervalSet::kC1) {
-            if (state == ChannelState::kSingle) {
-              l_a[lane] = {shared[lane].kernel, true};
-              l_a[lane].kernel.step(ChannelState::kCollision);
-              shared[lane].valid = false;
-              phases[lane] = HybridPhase::kP2;
-            } else {
-              shared[lane].kernel.step(state);
-            }
-          }
-          break;
-        case HybridPhase::kP2:
-          if (pos.set == IntervalSet::kC1) {
-            if (l_a[lane].valid) {
-              l_a[lane].kernel.step(cnt >= 1 ? ChannelState::kCollision
-                                             : state);
-            }
-          } else if (pos.set == IntervalSet::kC2) {
-            if (state == ChannelState::kSingle) {
-              s_a[lane] = {shared[lane].kernel, true};
-              s_a[lane].kernel.step(ChannelState::kCollision);
-              shared[lane].valid = false;
-              l_a[lane].valid = false;
-              phases[lane] = HybridPhase::kP3;
-            } else if (shared[lane].valid) {
-              shared[lane].kernel.step(state);
-            }
-          }
-          break;
-        case HybridPhase::kP3:
-          if (pos.set == IntervalSet::kC2) {
-            if (s_a[lane].valid) {
-              s_a[lane].kernel.step(cnt >= 1 ? ChannelState::kCollision
-                                             : state);
-            }
-          } else if (pos.set == IntervalSet::kC3) {
-            if (state == ChannelState::kSingle) {
-              s_a[lane].valid = false;
-              phases[lane] = HybridPhase::kP4;
-            }
-          }
-          break;
-        case HybridPhase::kP4:
-          if (pos.set == IntervalSet::kC1 && state == ChannelState::kNull) {
-            phases[lane] = HybridPhase::kDone;
-          }
-          break;
-        case HybridPhase::kDone:
-          break;
-      }
-    }
-    bank.observe(lane_states.data(), active);
-
-    prof.stop(obs::Phase::kClassify);
-
-    // Retirement + compaction after the full sweep (equivalent to
-    // retiring mid-sweep; lanes are independent in-slot).
-    // jam/lane_states need no copy: both are rewritten for every live
-    // lane at the top of the next slot before any read.
-    for (std::size_t lane = 0; lane < active;) {
-      if (phases[lane] != HybridPhase::kDone) {
-        ++lane;
-        continue;
-      }
-      TrialOutcome& o = acc[lane];
+  const auto finalize = [&](std::size_t lane, bool elected) {
+    TrialOutcome o;
+    o.slots = slots_done;
+    o.jams = jams[lane];
+    o.nulls = nulls[lane];
+    o.singles = singles[lane];
+    o.collisions = slots_done - nulls[lane] - singles[lane];
+    o.transmissions = transmissions[lane];
+    if (elected) {
       o.elected = true;
       o.all_done = true;
       o.unique_leader = true;
-      o.leader = rng.below_lane(lane, n);
-      out[lane_trial[lane]] = o;
-      --active;
-      if (lane != active) {
-        phases[lane] = phases[active];
-        shared[lane] = shared[active];
-        l_a[lane] = l_a[active];
-        s_a[lane] = s_a[active];
-        rng.move_lane(lane, active);
-        bank.move_lane(lane, active);
-        lane_trial[lane] = lane_trial[active];
-        acc[lane] = acc[active];
+      o.leader = rng.below_lane(lane, n);  // exchangeable; symbolic
+    }
+    out[lane_trial[lane]] = o;
+  };
+
+  const auto move_lane = [&](std::size_t dst, std::size_t src) {
+    rng.move_lane(dst, src);
+    bank.move_lane(dst, src);
+    us[dst] = us[src];
+    if constexpr (!kIsLesk) kerns[dst] = kerns[src];
+    transmissions[dst] = transmissions[src];
+    nulls[dst] = nulls[src];
+    singles[dst] = singles[src];
+    jams[dst] = jams[src];
+    lane_trial[dst] = lane_trial[src];
+    states[dst] = states[src];
+  };
+
+  const auto swap_lanes = [&](std::size_t a, std::size_t b) {
+    if (a == b) return;
+    rng.swap_lanes(a, b);
+    bank.swap_lanes(a, b);
+    std::swap(us[a], us[b]);
+    if constexpr (!kIsLesk) std::swap(kerns[a], kerns[b]);
+    std::swap(transmissions[a], transmissions[b]);
+    std::swap(nulls[a], nulls[b]);
+    std::swap(singles[a], singles[b]);
+    std::swap(jams[a], jams[b]);
+    std::swap(lane_trial[a], lane_trial[b]);
+    std::swap(states[a], states[b]);
+  };
+
+  // Rebuilds the kernels of lanes [lo, hi) (an interval start).
+  const auto reset_kernels = [&](std::size_t lo, std::size_t hi) {
+    std::fill(us.begin() + static_cast<std::ptrdiff_t>(lo),
+              us.begin() + static_cast<std::ptrdiff_t>(hi),
+              fresh.broadcast_u());
+    if constexpr (!kIsLesk) {
+      std::fill(kerns.begin() + static_cast<std::ptrdiff_t>(lo),
+                kerns.begin() + static_cast<std::ptrdiff_t>(hi), fresh);
+    }
+  };
+
+  // Generic kernels step off the classified states; a Single shows the
+  // kernel a Collision (the transmitter's weak-CD view, which is also
+  // the clone's step when the Single changes the lane's phase).
+  const auto step_kernels = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t k = lo; k < hi; ++k) {
+      kerns[k].step(states[k] == 0 ? ChannelState::kNull
+                                   : ChannelState::kCollision);
+      us[k] = kerns[k].broadcast_u();
+    }
+  };
+
+  // Category role: `cache` holds the slot probabilities of the group
+  // that draws (n in C1, n - 1 in C2). A jammed lane classifies against
+  // 0.0 thresholds — a Collision, its draw consumed — exactly as in
+  // aggregate_lanes_wide. Returns whether any lane heard a Single.
+  const auto category = [&](std::size_t lo, std::size_t hi,
+                            SlotProbCache& cache) {
+    if (lo == hi) return false;
+    const std::size_t lanes = hi - lo;
+    prof.stop(obs::Phase::kClassify);
+    cache.lookup_lanes(us.data() + lo, lanes, c_null.data() + lo,
+                       c_single.data() + lo, exp_tx.data() + lo);
+    prof.stop(obs::Phase::kCacheLookup);
+    if (jammed != LaneAdversaryBank::Jams::kNone) {
+      for (std::size_t k = lo; k < hi; ++k) {
+        c_null[k] = jam[k] != 0 ? 0.0 : c_null[k];
+        c_single[k] = jam[k] != 0 ? 0.0 : c_single[k];
       }
+    }
+    const wide::LaneBlock block{
+        rng.plane(0) + lo,          rng.plane(1) + lo,
+        rng.plane(2) + lo,          rng.plane(3) + lo,
+        c_null.data() + lo,         c_single.data() + lo,
+        exp_tx.data() + lo,         transmissions.data() + lo,
+        nulls.data() + lo,          singles.data() + lo,
+        states.data() + lo};
+    if constexpr (kIsLesk) {
+      return ops.clean_slot_lesk(block, us.data() + lo, lesk_inc, lanes);
+    } else {
+      const bool any_single = ops.clean_slot(block, lanes);
+      step_kernels(lo, hi);
+      return any_single;
+    }
+  };
+
+  // Bernoulli role: one station (l or s) transmits w.p. p alone.
+  const auto bernoulli = [&](std::size_t lo, std::size_t hi) {
+    if (lo == hi) return;
+    prof.stop(obs::Phase::kClassify);
+    for (std::size_t k = lo; k < hi; ++k) {
+      p[k] = cache_n.lookup(us[k]).p;
+      mask[k] = static_cast<std::uint8_t>((p[k] > 0.0) & (p[k] < 1.0));
+    }
+    prof.stop(obs::Phase::kCacheLookup);
+    const std::size_t groups = (hi + kWideLanes - 1) / kWideLanes;
+    std::fill(mask.begin(), mask.begin() + static_cast<std::ptrdiff_t>(lo),
+              std::uint8_t{0});
+    std::fill(mask.begin() + static_cast<std::ptrdiff_t>(hi),
+              mask.begin() + static_cast<std::ptrdiff_t>(groups * kWideLanes),
+              std::uint8_t{0});
+    rng.uniform_masked(groups, mask.data(), r.data());
+    prof.stop(obs::Phase::kRng);
+    // Branch-free: r < p is a coin flip, so every select is arithmetic
+    // on 0/1 integers (a jammed lane is a Collision whatever it sent).
+    for (std::size_t k = lo; k < hi; ++k) {
+      const std::int64_t tx = static_cast<std::int64_t>(p[k] >= 1.0) |
+                              (static_cast<std::int64_t>(r[k] < p[k]) &
+                               static_cast<std::int64_t>(mask[k]));
+      const std::int64_t jk = jam[k];
+      const std::int64_t state = tx + jk * (2 - tx);
+      states[k] = state;
+      transmissions[k] += p[k];
+      nulls[k] += static_cast<std::int64_t>(state == 0);
+      singles[k] += static_cast<std::int64_t>(state == 1);
+      if constexpr (kIsLesk) {
+        // LeskKernel::step: Null -> max(u - 1, 0), else Collision.
+        const double next[2] = {std::max(us[k] - 1.0, 0.0), us[k] + lesk_inc};
+        us[k] = next[state != 0];
+      }
+    }
+    if constexpr (!kIsLesk) step_kernels(lo, hi);
+  };
+
+  // Fixed role: `cnt` (>= 1) stations transmit for sure.
+  const auto fixed = [&](std::size_t lo, std::size_t hi, std::uint64_t cnt) {
+    const double ex = static_cast<double>(cnt);
+    const std::int64_t clean = cnt == 1 ? 1 : 2;
+    for (std::size_t k = lo; k < hi; ++k) {
+      const std::int64_t state = jam[k] != 0 ? 2 : clean;
+      states[k] = state;
+      transmissions[k] += ex;
+      singles[k] += state == 1 ? 1 : 0;
+    }
+  };
+
+  // Idle role: nobody transmits — a Null, or a jammed Collision.
+  const auto idle = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t k = lo; k < hi; ++k) {
+      states[k] = jam[k] != 0 ? 2 : 0;
+      nulls[k] += jam[k] != 0 ? 0 : 1;
+    }
+  };
+
+  // Moves every lane of [lo, b) that heard a Single into the next
+  // phase's range (which starts at b). A lane swapped in from the end
+  // of the range is examined in turn.
+  const auto promote = [&](std::size_t lo, std::size_t& b) {
+    for (std::size_t lane = lo; lane < b;) {
+      if (states[lane] != 1) {
+        ++lane;
+        continue;
+      }
+      // The fused LESK pass leaves a Single's u alone (an aggregate
+      // lane retires on it); the clone's Collision step is this +inc.
+      if constexpr (kIsLesk) us[lane] = us[lane] + lesk_inc;
+      --b;
+      swap_lanes(lane, b);
+    }
+  };
+
+  for (Slot slot = 0; slot < config.max_slots && active > 0; ++slot) {
+    const IntervalPosition pos = classify_slot(slot);
+    slots_total += static_cast<std::int64_t>(active);
+    ++slots_done;
+    prof.start();
+    jammed = bank.step(jam.data(), active);
+    if (jammed != LaneAdversaryBank::Jams::kNone) {
+      for (std::size_t k = 0; k < active; ++k) jams[k] += jam[k];
+    }
+
+    bool any_single = false;
+    switch (pos.set) {
+      case IntervalSet::kC1:
+        if (pos.interval_start()) reset_kernels(0, b2);
+        any_single = category(0, b1, cache_n);
+        bernoulli(b1, b2);
+        fixed(b2, b3, n - 2);  // all of R confirms; n >= 3
+        idle(b3, active);
+        break;
+      case IntervalSet::kC2:
+        if (pos.interval_start()) reset_kernels(b1, b3);
+        idle(0, b1);
+        any_single = category(b1, b2, cache_nm1);
+        bernoulli(b2, b3);
+        idle(b3, active);
+        break;
+      case IntervalSet::kC3:
+        idle(0, b2);
+        fixed(b2, active, 1);  // l announces (P3), and keeps at it (P4)
+        any_single = jammed != LaneAdversaryBank::Jams::kAll;
+        break;
+      case IntervalSet::kPadding:
+        idle(0, active);
+        break;
+    }
+    bank.observe(states.data(), active);
+    prof.stop(obs::Phase::kClassify);
+
+    // Phase changes, after the slot's draws and the bank's observe.
+    switch (pos.set) {
+      case IntervalSet::kC1:
+        // P4 -> done on a Null; the last range, so swap-remove.
+        if (jammed != LaneAdversaryBank::Jams::kAll) {
+          for (std::size_t lane = b3; lane < active;) {
+            if (states[lane] != 0) {
+              ++lane;
+              continue;
+            }
+            finalize(lane, true);
+            --active;
+            move_lane(lane, active);
+          }
+        }
+        if (any_single) promote(0, b1);  // P1 -> P2
+        break;
+      case IntervalSet::kC2:
+        if (any_single) promote(b1, b2);  // P2 -> P3
+        break;
+      case IntervalSet::kC3:
+        if (any_single) promote(b2, b3);  // P3 -> P4
+        break;
+      case IntervalSet::kPadding:
+        break;
     }
     prof.stop(obs::Phase::kLatticeUpdate);
   }
-  for (std::size_t lane = 0; lane < active; ++lane) {
-    out[lane_trial[lane]] = acc[lane];
-  }
+  // Right-censored lanes: budget exhausted without election.
+  for (std::size_t lane = 0; lane < active; ++lane) finalize(lane, false);
   JAMELECT_OBS_COUNT("engine.batch.hybrid_chunks", 1);
   JAMELECT_OBS_COUNT("engine.batch.slots", slots_total);
   JAMELECT_OBS_COUNT("mc.batch_wide_slots", slots_total);

@@ -1,5 +1,6 @@
-// Portable 4-wide backend of the fused slot primitives, plus the
-// backend dispatch table. The loops are written scalar per lane; the
+// Portable 4-wide backend of the fused slot primitives, the AVX2
+// wrappers that finish a partial group scalar, and the backend
+// dispatch table. The loops are written scalar per lane; the
 // fixed 4-lane group width and the absence of branches on data keep
 // them auto-vectorizer-friendly, but correctness never depends on it.
 #include "sim/batch_wide.hpp"
@@ -38,21 +39,21 @@ inline std::int64_t classify_lane(const LaneBlock& b, std::size_t k,
   return state;
 }
 
-bool clean_slot_scalar4(const LaneBlock& b, std::size_t groups) {
-  const std::size_t lanes = groups * kWideLanes;
+/// Lanes [begin, end) of clean_slot, one lane at a time.
+bool clean_lanes(const LaneBlock& b, std::size_t begin, std::size_t end) {
   std::int64_t singles = 0;
-  for (std::size_t k = 0; k < lanes; ++k) {
+  for (std::size_t k = begin; k < end; ++k) {
     const double r = to_uniform(step1(b.s0[k], b.s1[k], b.s2[k], b.s3[k]));
     singles += classify_lane(b, k, r) == 1 ? 1 : 0;
   }
   return singles != 0;
 }
 
-bool clean_slot_lesk_scalar4(const LaneBlock& b, double* us, double inc,
-                             std::size_t groups) {
-  const std::size_t lanes = groups * kWideLanes;
+/// Lanes [begin, end) of clean_slot_lesk, one lane at a time.
+bool clean_lanes_lesk(const LaneBlock& b, double* us, double inc,
+                      std::size_t begin, std::size_t end) {
   std::int64_t singles = 0;
-  for (std::size_t k = 0; k < lanes; ++k) {
+  for (std::size_t k = begin; k < end; ++k) {
     const double r = to_uniform(step1(b.s0[k], b.s1[k], b.s2[k], b.s3[k]));
     const std::int64_t state = classify_lane(b, k, r);
     // LeskKernel::step, branch-free-ish: Null walks u down (floored at
@@ -66,15 +67,39 @@ bool clean_slot_lesk_scalar4(const LaneBlock& b, double* us, double inc,
   return singles != 0;
 }
 
+bool clean_slot_scalar4(const LaneBlock& b, std::size_t lanes) {
+  return clean_lanes(b, 0, lanes);
+}
+
+bool clean_slot_lesk_scalar4(const LaneBlock& b, double* us, double inc,
+                             std::size_t lanes) {
+  return clean_lanes_lesk(b, us, inc, 0, lanes);
+}
+
 constexpr SlotOps kScalar4Ops{
     clean_slot_scalar4,
     clean_slot_lesk_scalar4,
 };
 
 #if defined(JAMELECT_WIDE_AVX2)
+// Whole groups go through the AVX2 kernels, the remainder through the
+// scalar lanes above (the same exact expressions lane for lane).
+bool clean_slot_avx2(const LaneBlock& b, std::size_t lanes) {
+  const std::size_t whole = lanes / kWideLanes;
+  const bool any = avx2::clean_slot(b, whole);
+  return clean_lanes(b, whole * kWideLanes, lanes) || any;
+}
+
+bool clean_slot_lesk_avx2(const LaneBlock& b, double* us, double inc,
+                          std::size_t lanes) {
+  const std::size_t whole = lanes / kWideLanes;
+  const bool any = avx2::clean_slot_lesk(b, us, inc, whole);
+  return clean_lanes_lesk(b, us, inc, whole * kWideLanes, lanes) || any;
+}
+
 constexpr SlotOps kAvx2Ops{
-    avx2::clean_slot,
-    avx2::clean_slot_lesk,
+    clean_slot_avx2,
+    clean_slot_lesk_avx2,
 };
 #endif
 

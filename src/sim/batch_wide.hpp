@@ -1,9 +1,10 @@
-// Fused per-slot SIMD primitives for the wide batch engine
-// (sim/batch.cpp aggregate_lanes_wide). One call advances every lane's
+// Fused per-slot SIMD primitives for the wide batch engines
+// (sim/batch.cpp: the aggregate lanes, and the hybrid lanes' category
+// roles). One call advances every lane's
 // xoshiro256** stream, converts the draws to uniforms, classifies them
 // against per-lane cumulative thresholds, and accumulates the per-lane
 // outcome counters — branch-free, one SIMD group (kWideLanes lanes) at
-// a time.
+// a time, with a remainder of fewer than kWideLanes lanes run scalar.
 //
 // Classification is the branch-free mirror of run_aggregate's
 // (sim/aggregate.cpp) draw-vs-threshold categorization:
@@ -31,8 +32,8 @@
 namespace jamelect::wide {
 
 /// SoA views of the wide engine's per-lane state. All arrays hold at
-/// least groups * kWideLanes elements; the rng planes come from
-/// WideXoshiro::plane(0..3).
+/// least `lanes` elements; the rng planes come from
+/// WideXoshiro::plane(0..3), possibly offset to a sub-range of lanes.
 struct LaneBlock {
   std::uint64_t* s0;
   std::uint64_t* s1;
@@ -47,13 +48,15 @@ struct LaneBlock {
   std::int64_t* states;    ///< out: this slot's ChannelState per lane
 };
 
-/// One backend's fused slot kernels; both process groups * kWideLanes
-/// lanes and return true iff any lane resolved Single (the engine's cue
-/// to run a retirement pass).
+/// One backend's fused slot kernels; both process lanes [0, lanes) —
+/// any count, so a block may start and end anywhere in a lane array —
+/// and return true iff any lane resolved Single (the engine's cue to
+/// run a retirement or phase-change pass). Lanes outside the range are
+/// never touched.
 struct SlotOps {
-  bool (*clean_slot)(const LaneBlock& b, std::size_t groups);
+  bool (*clean_slot)(const LaneBlock& b, std::size_t lanes);
   bool (*clean_slot_lesk)(const LaneBlock& b, double* us, double inc,
-                          std::size_t groups);
+                          std::size_t lanes);
 };
 
 /// The fused kernels for one backend (resolve with active_wide_isa()).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "support/expects.hpp"
 #include "support/math.hpp"
@@ -25,7 +26,7 @@ namespace {
 LaneAdversaryBank::LaneAdversaryBank(const AdversarySpec& spec,
                                      const Rng& base, std::size_t first,
                                      std::size_t count)
-    : T_(spec.T), eps_(EpsRatio::from_double(spec.eps)) {
+    : lanes_(count), T_(spec.T), eps_(EpsRatio::from_double(spec.eps)) {
   JAMELECT_EXPECTS(count >= 1);
   JAMELECT_EXPECTS(spec.T >= 1);
   if (lane_invariant_policy(spec)) {
@@ -80,12 +81,23 @@ LaneAdversaryBank::LaneAdversaryBank(const AdversarySpec& spec,
     threshold_ = spec.collision_threshold;
     JAMELECT_EXPECTS(threshold_ > 0.0 && threshold_ <= 1.0);
   }
+  // All-ones is a NaN pattern; a mirrored estimate is never NaN.
+  memo_.assign(std::size_t{1} << kMemoBits, MemoSlot{~std::uint64_t{0}, 0});
   u_.assign(count, 0.0);
-  desire_.assign(count, desire_for(0.0) ? 1 : 0);
+  desire_.assign(count, desire_for(0.0));
 }
 
-bool LaneAdversaryBank::desire_for(double u) {
+std::uint8_t LaneAdversaryBank::desire_for(double u) {
   const std::uint64_t key = std::bit_cast<std::uint64_t>(u);
+  // Fibonacci hashing: lattice estimates differ in few mantissa bits,
+  // and dyadic ones end in long runs of zeros, so take the top bits of
+  // the product.
+  MemoSlot& slot = memo_[(key * 0x9e3779b97f4a7c15ULL) >> (64 - kMemoBits)];
+  if (slot.key != key) slot = MemoSlot{key, desire_miss(u, key)};
+  return slot.desire;
+}
+
+std::uint8_t LaneAdversaryBank::desire_miss(double u, std::uint64_t key) {
   const auto it = desire_memo_.find(key);
   if (it != desire_memo_.end()) return it->second;
   // The scalar policies evaluate slot_probabilities directly from the
@@ -96,8 +108,8 @@ bool LaneAdversaryBank::desire_for(double u) {
   const bool desire = kind_ == Kind::kSingleDenial
                           ? probs.single >= threshold_
                           : probs.collision < threshold_;
-  desire_memo_.emplace(key, desire);
-  return desire;
+  desire_memo_.emplace(key, desire ? 1 : 0);
+  return desire ? 1 : 0;
 }
 
 LaneAdversaryBank::Jams LaneAdversaryBank::step(std::uint8_t* jam,
@@ -107,9 +119,6 @@ LaneAdversaryBank::Jams LaneAdversaryBank::step(std::uint8_t* jam,
     std::fill(jam, jam + active, static_cast<std::uint8_t>(jammed));
     return jammed ? Jams::kAll : Jams::kNone;
   }
-  // Policy desires first (the scalar path always evaluates desires_jam
-  // before consulting the budget — the draw happens even when the
-  // budget would veto the jam).
   if (kind_ == Kind::kBernoulli && q_ <= 0.0) {
     // Never desires, never draws. The budget is only ever read to veto
     // a desired jam, so skipping the per-lane commit cannot change any
@@ -118,40 +127,54 @@ LaneAdversaryBank::Jams LaneAdversaryBank::step(std::uint8_t* jam,
     return Jams::kNone;
   }
 
+  // Policy desires first, into jam[] (the scalar path always evaluates
+  // desires_jam before consulting the budget — the draw happens even
+  // when the budget would veto the jam).
+  if (kind_ == Kind::kBernoulli) {
+    if (rng_) {
+      const std::size_t groups = (active + kWideLanes - 1) / kWideLanes;
+      rng_->uniform_groups(groups, draws_.data());
+      const double q = q_;
+      const double* const draws = draws_.data();
+      for (std::size_t k = 0; k < active; ++k) jam[k] = draws[k] < q ? 1 : 0;
+    } else {
+      std::fill(jam, jam + active, std::uint8_t{1});  // q >= 1
+    }
+  } else {
+    std::copy_n(desire_.data(), active, jam);
+  }
+
+  // JammingBudget::can_jam + commit per lane with the shared ring
+  // cursor (budget.cpp's exact recurrence), as mask arithmetic: both
+  // successor budgets are computed and the all-ones/all-zeros jam mask
+  // selects one, so a random desire costs no mispredicted branch.
   const std::int64_t den = eps_.den;
   const std::int64_t num = eps_.num;
   const std::int64_t decay = den - num;
-  const auto pos = static_cast<std::size_t>(ring_pos_);
-  const auto T = static_cast<std::size_t>(T_);
-
-  if (kind_ == Kind::kBernoulli && q_ > 0.0 && q_ < 1.0) {
-    const std::size_t groups = (active + kWideLanes - 1) / kWideLanes;
-    rng_->uniform_groups(groups, draws_.data());
-  }
-
-  std::size_t jammed = 0;
+  const std::int64_t floor = decay * T_;
+  std::uint8_t* const ring =
+      ring_.data() + static_cast<std::size_t>(ring_pos_) * lanes_;
+  std::int64_t* const budget = b_.data();
+  std::int64_t* const window = window_jams_.data();
+  std::int64_t jammed = 0;
   for (std::size_t k = 0; k < active; ++k) {
-    const bool desires = kind_ == Kind::kBernoulli
-                             ? (q_ >= 1.0 || draws_[k] < q_)
-                             : desire_[k] != 0;
-    // JammingBudget::can_jam + commit, inlined per lane with the shared
-    // ring cursor (budget.cpp's exact recurrence).
-    std::uint8_t* const ring = ring_.data() + k * T;
-    const std::int64_t evicted = ring[pos];
-    const std::int64_t hyp_jam =
-        std::max(b_[k] + num, den * (window_jams_[k] - evicted + 1) - decay * T_);
-    const bool jam_k = desires && hyp_jam <= 0;
-    b_[k] = jam_k ? hyp_jam
-                  : std::max(b_[k] - decay,
-                             den * (window_jams_[k] - evicted) - decay * T_);
-    window_jams_[k] += (jam_k ? 1 : 0) - evicted;
-    ring[pos] = jam_k ? 1 : 0;
-    jam[k] = jam_k ? 1 : 0;
-    jammed += jam_k ? 1 : 0;
+    const std::int64_t b = budget[k];
+    const std::int64_t evicted = ring[k];
+    const std::int64_t kept = window[k] - evicted;
+    const std::int64_t b_jam = std::max(b + num, den * (kept + 1) - floor);
+    const std::int64_t b_idle = std::max(b - decay, den * kept - floor);
+    const std::int64_t j = jam[k] & static_cast<std::int64_t>(b_jam <= 0);
+    const std::int64_t m = -j;
+    budget[k] = (b_jam & m) | (b_idle & ~m);
+    window[k] = kept + j;
+    ring[k] = static_cast<std::uint8_t>(j);
+    jam[k] = static_cast<std::uint8_t>(j);
+    jammed += j;
   }
   ring_pos_ = (ring_pos_ + 1) % T_;
   if (jammed == 0) return Jams::kNone;
-  return jammed == active ? Jams::kAll : Jams::kSome;
+  return static_cast<std::size_t>(jammed) == active ? Jams::kAll
+                                                    : Jams::kSome;
 }
 
 void LaneAdversaryBank::observe(const std::int64_t* states,
@@ -159,17 +182,15 @@ void LaneAdversaryBank::observe(const std::int64_t* states,
   // Lane-invariant and bernoulli policies have no observe() override.
   if (kind_ == Kind::kShared || kind_ == Kind::kBernoulli) return;
   for (std::size_t k = 0; k < active; ++k) {
-    switch (states[k]) {
-      case 0:  // Null
-        u_[k] = std::max(0.0, u_[k] - 1.0);
-        break;
-      case 2:  // Collision
-        u_[k] += increment_;
-        break;
-      default:  // Single: the protocol has terminated; tracking is moot
-        continue;
-    }
-    desire_[k] = desire_for(u_[k]) ? 1 : 0;
+    // LeskEstimateMirror::observe as a table select indexed by the
+    // state code: Null walks down, a Collision up, a Single (the
+    // protocol has terminated) leaves u — and so its desire — as it was.
+    const double u = u_[k];
+    const double next_by_state[3] = {std::max(0.0, u - 1.0), u,
+                                     u + increment_};
+    const double next = next_by_state[states[k]];
+    u_[k] = next;
+    desire_[k] = desire_for(next);
   }
 }
 
@@ -177,12 +198,27 @@ void LaneAdversaryBank::move_lane(std::size_t dst, std::size_t src) {
   if (dst == src || kind_ == Kind::kShared) return;
   b_[dst] = b_[src];
   window_jams_[dst] = window_jams_[src];
-  const auto T = static_cast<std::size_t>(T_);
-  std::copy_n(ring_.data() + src * T, T, ring_.data() + dst * T);
+  for (std::size_t t = 0; t < static_cast<std::size_t>(T_); ++t) {
+    ring_[t * lanes_ + dst] = ring_[t * lanes_ + src];
+  }
   if (rng_) rng_->move_lane(dst, src);
   if (!u_.empty()) {
     u_[dst] = u_[src];
     desire_[dst] = desire_[src];
+  }
+}
+
+void LaneAdversaryBank::swap_lanes(std::size_t a, std::size_t b) {
+  if (a == b || kind_ == Kind::kShared) return;
+  std::swap(b_[a], b_[b]);
+  std::swap(window_jams_[a], window_jams_[b]);
+  for (std::size_t t = 0; t < static_cast<std::size_t>(T_); ++t) {
+    std::swap(ring_[t * lanes_ + a], ring_[t * lanes_ + b]);
+  }
+  if (rng_) rng_->swap_lanes(a, b);
+  if (!u_.empty()) {
+    std::swap(u_[a], u_[b]);
+    std::swap(desire_[a], desire_[b]);
   }
 }
 

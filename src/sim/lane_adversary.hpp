@@ -20,16 +20,18 @@
 //      contract).
 //    - single_denial     — per-lane LeskEstimateMirror u plus a cached
 //      desire bit, refreshed from observe(); the desire for a given u
-//      is memoized on u's bit pattern so the slot_probabilities()
-//      evaluation runs once per distinct estimate, exactly as the
-//      scalar policy would compute it.
+//      is memoized on u's bit pattern (a small direct-mapped table in
+//      front of a hash map) so the slot_probabilities() evaluation runs
+//      once per distinct estimate, exactly as the scalar policy would
+//      compute it.
 //    - collision_forcer  — same mirror, collision-threshold trigger.
 //
 //    Their (T, 1-eps) budget filter is replicated per lane with the
 //    exact integer recurrence of JammingBudget (adversary/budget.cpp):
-//    per-lane B, window_jams and a lane-major ring of the last T jam
+//    per-lane B, window_jams and a slot-major ring of the last T jam
 //    flags. All lanes advance in lockstep, so the ring cursor is
-//    shared.
+//    shared. step() first writes every lane's policy desire, then runs
+//    the recurrence as branch-free mask arithmetic over the lanes.
 //
 // Either way, lane k of a bank constructed with (spec, base, first,
 // count) jams on exactly the slots the scalar make_adversary(spec,
@@ -79,6 +81,10 @@ class LaneAdversaryBank {
   /// full adversary state (budget, policy, RNG stream).
   void move_lane(std::size_t dst, std::size_t src);
 
+  /// Exchanges the full adversary states of lanes `a` and `b` (the
+  /// hybrid lanes' phase-partition moves).
+  void swap_lanes(std::size_t a, std::size_t b);
+
  private:
   enum class Kind : std::uint8_t {
     kShared,
@@ -87,17 +93,20 @@ class LaneAdversaryBank {
     kCollisionForcer
   };
 
-  [[nodiscard]] bool desire_for(double u);
+  [[nodiscard]] std::uint8_t desire_for(double u);
+  [[nodiscard]] std::uint8_t desire_miss(double u, std::uint64_t key);
 
   Kind kind_;
+  std::size_t lanes_;
   std::int64_t T_;
   EpsRatio eps_;
 
   // Lane-invariant policies: the one adversary every lane shares.
   std::unique_ptr<BoundedAdversary> shared_;
 
-  // Per-lane budget state; the ring is lane-major (lane k owns entries
-  // [k*T, (k+1)*T)) and all lanes share one cursor (lockstep slots).
+  // Per-lane budget state; the ring is slot-major (ring position t holds
+  // entries [t*lanes_, (t+1)*lanes_)) and all lanes share one cursor
+  // (lockstep slots), so a slot reads and writes one contiguous row.
   std::vector<std::int64_t> b_;
   std::vector<std::int64_t> window_jams_;
   std::vector<std::uint8_t> ring_;
@@ -111,13 +120,22 @@ class LaneAdversaryBank {
   std::vector<double> draws_;
 
   // single_denial / collision_forcer: per-lane mirrored estimate and
-  // the desire bit it implies, plus the memo of desire-by-estimate.
+  // the desire bit it implies, plus the memo of desire-by-estimate: a
+  // direct-mapped table keyed on u's bits answers the per-lane,
+  // per-slot probe, and the hash map behind it holds every estimate
+  // seen (so an evicted entry is never recomputed).
+  struct MemoSlot {
+    std::uint64_t key;
+    std::uint8_t desire;
+  };
+  static constexpr int kMemoBits = 8;
   double increment_ = 0.0;
   std::uint64_t n_ = 0;
   double threshold_ = 0.0;
   std::vector<double> u_;
   std::vector<std::uint8_t> desire_;
-  std::unordered_map<std::uint64_t, bool> desire_memo_;
+  std::vector<MemoSlot> memo_;
+  std::unordered_map<std::uint64_t, std::uint8_t> desire_memo_;
 };
 
 }  // namespace jamelect

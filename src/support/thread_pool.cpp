@@ -1,5 +1,6 @@
 #include "support/thread_pool.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 
@@ -141,7 +142,9 @@ ThreadPool& global_pool() {
       const long v = std::strtol(env, nullptr, 10);
       if (v > 0) return static_cast<std::size_t>(v);
     }
-    return std::size_t{0};
+    // The caller joins the workers in every parallel call.
+    const std::size_t hw = std::thread::hardware_concurrency();
+    return std::max<std::size_t>(1, hw > 0 ? hw - 1 : 0);
   }());
   return pool;
 }

@@ -173,8 +173,10 @@ class ThreadPool {
 };
 
 /// Convenience: a process-wide pool for benches/examples. Lazily
-/// constructed; sized from the JAMELECT_THREADS environment variable if
-/// set, else hardware concurrency.
+/// constructed; JAMELECT_THREADS (if set to a positive count) is the
+/// number of workers, else max(1, hardware concurrency - 1) workers, so
+/// the calling thread, which joins every parallel call, brings the
+/// width to the hardware concurrency instead of one past it.
 [[nodiscard]] ThreadPool& global_pool();
 
 }  // namespace jamelect

@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "support/expects.hpp"
@@ -137,6 +138,12 @@ class WideXoshiro {
   /// compaction). `src`'s own state is left untouched.
   void move_lane(std::size_t dst, std::size_t src) noexcept {
     for (std::size_t p = 0; p < 4; ++p) plane(p)[dst] = plane(p)[src];
+  }
+
+  /// Exchanges the stream states of lanes `a` and `b` (the hybrid
+  /// lanes' phase-partition moves).
+  void swap_lanes(std::size_t a, std::size_t b) noexcept {
+    for (std::size_t p = 0; p < 4; ++p) std::swap(plane(p)[a], plane(p)[b]);
   }
 
   /// Advances lanes [0, groups * kWideLanes) one step each and writes

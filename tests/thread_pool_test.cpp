@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace jamelect {
@@ -90,6 +92,24 @@ TEST(ThreadPool, SizeReflectsConstruction) {
 
 TEST(ThreadPool, GlobalPoolIsSingleton) {
   EXPECT_EQ(&global_pool(), &global_pool());
+}
+
+TEST(ThreadPool, GlobalPoolWidthIsTheHardwareConcurrency) {
+  // Width = workers + the calling thread, which joins every parallel
+  // call: the default must not oversubscribe the machine by one.
+  if (const char* env = std::getenv("JAMELECT_THREADS")) {
+    const long v = std::strtol(env, nullptr, 10);
+    if (v > 0) {
+      EXPECT_EQ(global_pool().size(), static_cast<std::size_t>(v));
+      return;
+    }
+  }
+  const std::size_t hw = std::thread::hardware_concurrency();
+  if (hw >= 2) {
+    EXPECT_EQ(global_pool().size() + 1, hw);
+  } else {
+    EXPECT_EQ(global_pool().size(), 1u);  // never fewer than one worker
+  }
 }
 
 }  // namespace
