@@ -312,7 +312,7 @@ void Perf_SequentialMcBaseline(benchmark::State& state) {
   state.counters["n"] = static_cast<double>(n);
 }
 
-// Cohort-lane batched Monte-Carlo (sim/cohort_batch.hpp) against the
+// Cohort-lane batched Monte-Carlo (sim/batch.hpp) against the
 // sequential cohort MC it replaces. Identical trials bit for bit —
 // same adapter prototype, same per-trial streams — so items/sec
 // divides into a true speedup. The cohort engine is the one that

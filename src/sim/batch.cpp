@@ -1,6 +1,7 @@
 #include "sim/batch.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <type_traits>
@@ -15,6 +16,7 @@
 #include "protocols/kernels.hpp"
 #include "sim/batch_wide.hpp"
 #include "sim/lane_adversary.hpp"
+#include "support/binomial_cache.hpp"
 #include "support/expects.hpp"
 #include "support/math.hpp"
 #include "support/slot_prob_cache.hpp"
@@ -579,13 +581,16 @@ void hybrid_lanes_wide(const typename Kernel::Params& params,
       mask[k] = static_cast<std::uint8_t>((p[k] > 0.0) & (p[k] < 1.0));
     }
     prof.stop(obs::Phase::kCacheLookup);
-    const std::size_t groups = (hi + kWideLanes - 1) / kWideLanes;
-    std::fill(mask.begin(), mask.begin() + static_cast<std::ptrdiff_t>(lo),
-              std::uint8_t{0});
+    // The draw walks only the groups that hold [lo, hi); within them,
+    // the lanes of other ranges are masked out.
+    const std::size_t g0 = lo / kWideLanes;
+    const std::size_t g1 = (hi + kWideLanes - 1) / kWideLanes;
+    std::fill(mask.begin() + static_cast<std::ptrdiff_t>(g0 * kWideLanes),
+              mask.begin() + static_cast<std::ptrdiff_t>(lo), std::uint8_t{0});
     std::fill(mask.begin() + static_cast<std::ptrdiff_t>(hi),
-              mask.begin() + static_cast<std::ptrdiff_t>(groups * kWideLanes),
+              mask.begin() + static_cast<std::ptrdiff_t>(g1 * kWideLanes),
               std::uint8_t{0});
-    rng.uniform_masked(groups, mask.data(), r.data());
+    rng.uniform_masked(g0, g1, mask.data(), r.data());
     prof.stop(obs::Phase::kRng);
     // Branch-free: r < p is a coin flip, so every select is arithmetic
     // on 0/1 integers (a jammed lane is a Collision whatever it sent).
@@ -719,6 +724,282 @@ void hybrid_lanes_wide(const typename Kernel::Params& params,
   workspace.emit_cache_counters();
 }
 
+/// Per-thread plan cache of the cohort lanes: one BinomialSamplerCache
+/// shared by every chunk this worker runs (plans are pure functions of
+/// (n, u), so reuse across configs and n is sound), plus watermarks so
+/// each chunk emits its cache-counter deltas.
+struct CohortWorkspace {
+  BinomialSamplerCache cache;
+  std::uint64_t lookups_seen = 0;
+  std::uint64_t misses_seen = 0;
+  std::uint64_t dense_seen = 0;
+
+  void emit_cache_counters() {
+    const std::uint64_t lookups = cache.lookups();
+    const std::uint64_t misses = cache.misses();
+    const std::uint64_t dense = cache.dense_hits();
+    JAMELECT_OBS_COUNT(
+        "engine.cohort.binom_cache_hits",
+        static_cast<std::int64_t>((lookups - lookups_seen) -
+                                  (misses - misses_seen)));
+    JAMELECT_OBS_COUNT("engine.cohort.binom_cache_misses",
+                       static_cast<std::int64_t>(misses - misses_seen));
+    JAMELECT_OBS_COUNT("engine.cohort.binom_cache_dense_hits",
+                       static_cast<std::int64_t>(dense - dense_seen));
+    lookups_seen = lookups;
+    misses_seen = misses;
+    dense_seen = dense;
+  }
+};
+
+[[nodiscard]] CohortWorkspace& local_cohort_workspace() {
+  thread_local CohortWorkspace workspace;
+  return workspace;
+}
+
+/// Lane view of the wide generator, quacking like a scalar generator
+/// for binomial_plan_draw_first's remainder draws (loop coins past the
+/// first, BTPE rejection retries).
+struct LaneRng {
+  WideXoshiro* pack;
+  std::size_t lane;
+  [[nodiscard]] double uniform() { return pack->uniform_lane(lane); }
+};
+
+/// Strong-CD cohort lanes: the SoA mirror of CohortEngine::run
+/// (sim/cohort.cpp) for a UniformStationAdapter over a paper kernel.
+///
+/// Under strong CD every station observes the true slot state, so all
+/// n stations take the same kernel step and stay one cohort until the
+/// first clean Single. That Single ends the trial under either stop
+/// rule: it makes the transmitter leader and every listener done in
+/// the same slot. A lane is therefore one kernel plus one
+/// Binomial(n, p(u)) count per slot. A clean Single sets elected,
+/// all_done and unique_leader and draws the leader with one below(n),
+/// which is CohortEngine's finalisation for both stop rules; a
+/// censored lane sets none of them.
+///
+/// Each lane's first uniform of a slot (and BTPE's second) comes from
+/// a wide group draw, and any remainder draws continue scalar on the
+/// lane's own stream, so lane k consumes base.child(first +
+/// k).child(0x51e0) exactly as the sequential engine does. Elected
+/// lanes are swap-removed after the slot's bank observe.
+template <class Kernel>
+void cohort_lanes(const typename Kernel::Params& params,
+                  const AdversarySpec& spec, const BatchConfig& config,
+                  const Rng& base, std::size_t first, std::size_t count,
+                  TrialOutcome* out) {
+  JAMELECT_EXPECTS(config.n >= 1);
+  JAMELECT_EXPECTS(config.max_slots >= 1);
+  const std::uint64_t n = config.n;
+  WideXoshiro pack(count);
+  const std::size_t padded = pack.padded_lanes();
+  std::vector<std::uint32_t> lane_trial(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    pack.seed_lane(k, base.child(first + k).child(0x51e0).seed());
+    lane_trial[k] = static_cast<std::uint32_t>(k);
+  }
+  // Lane k's adversary is the sequential runner's
+  // make_adversary(spec, base.child(first + k).child(0xad50)).
+  LaneAdversaryBank bank(spec, base, first, count);
+
+  CohortWorkspace& workspace = local_cohort_workspace();
+  BinomialSamplerCache& cache = workspace.cache;
+  if constexpr (std::is_same_v<Kernel, kernels::LeskKernel>) {
+    // LESK's u moves on the {-1, +eps/8} lattice, so steady-state plan
+    // lookups hit the dense index.
+    cache.set_lattice_step(Kernel(params).inc);
+  }
+
+  std::vector<Kernel> kerns(count, Kernel(params));
+  std::vector<std::int64_t> jams(count, 0), nulls(count, 0);
+  std::vector<double> transmissions(count, 0.0);
+  // Per-slot scratch.
+  std::vector<std::uint8_t> jam(count, 0);
+  std::vector<std::int64_t> states(count, 0);  // fed to observe()
+  std::vector<const BinomialPlan*> plans(count, nullptr);
+  std::vector<std::uint8_t> mask(padded, 0), btpe_mask(padded, 0);
+  std::vector<double> first_u(padded, 0.0), second_u(padded, 0.0);
+
+  std::size_t active = count;
+  std::int64_t slots_done = 0;  // == every live lane's slot count
+  std::int64_t slots_total = 0;
+
+  /// Writes lane l's outcome; the lane ran slots_done slots, and only
+  /// its last slot can have been a Single.
+  const auto finalize = [&](std::size_t l, bool elected) {
+    TrialOutcome o;
+    o.slots = slots_done;
+    o.jams = jams[l];
+    o.nulls = nulls[l];
+    o.singles = elected ? 1 : 0;
+    o.collisions = slots_done - o.nulls - o.singles;
+    o.transmissions = transmissions[l];
+    if (elected) {
+      o.elected = true;
+      o.all_done = true;
+      o.unique_leader = true;
+      o.leader = static_cast<StationId>(pack.below_lane(l, n));
+    }
+    out[lane_trial[l]] = o;
+  };
+
+  /// Lane l's slot given its transmitter count k: bookkeeping and the
+  /// kernel step every station takes (a Single's step is moot, as the
+  /// lane retires). Returns whether the slot was a Collision.
+  bool any_single = false;
+  const auto settle = [&](std::size_t l, std::uint64_t k) {
+    const bool jammed = jam[l] != 0;
+    const ChannelState state = resolve_slot(k, jammed);
+    states[l] = static_cast<std::int64_t>(state);
+    jams[l] += jammed ? 1 : 0;
+    nulls[l] += state == ChannelState::kNull ? 1 : 0;
+    transmissions[l] += static_cast<double>(k);
+    any_single |= state == ChannelState::kSingle;
+    kerns[l].step(state);
+    return state == ChannelState::kCollision;
+  };
+
+  /// Lane l's count under `plan`, its first uniform (and, for BTPE, its
+  /// second) already drawn into first_u/second_u.
+  const auto lane_count = [&](std::size_t l, const BinomialPlan& plan) {
+    if (plan.regime == BinomialPlan::Regime::kBtpe) {
+      // btpe_draw's first (triangle) accept test inlined on the same
+      // expressions, skipping the call on the dominant path.
+      const BinomialPlan::BtpeSetup& bt = plan.btpe;
+      const double u = first_u[l] * bt.p4;
+      if (u <= bt.p1) {
+        const auto y = static_cast<std::uint64_t>(
+            std::floor(bt.xm - bt.p1 * second_u[l] + u));
+        return plan.reflect ? plan.n - y : y;
+      }
+      LaneRng lane_rng{&pack, l};
+      return binomial_plan_draw_first2(plan, first_u[l], second_u[l],
+                                       lane_rng);
+    }
+    if (plan.needs_draw()) {
+      LaneRng lane_rng{&pack, l};
+      return binomial_plan_draw_first(plan, first_u[l], lane_rng);
+    }
+    return plan.regime == BinomialPlan::Regime::kAll ? plan.n
+                                                     : std::uint64_t{0};
+  };
+
+  // Cross-slot uniformity hint. After a uniform slot in which every
+  // lane resolved Collision, each kernel took the identical
+  // step(kCollision) from an identical u and no lane retired, so the
+  // next slot provably starts with every lane at one u and the
+  // O(active) probe can be skipped. Sound only for kernels whose state
+  // is exactly (u, elected): Estimation (inside Lesu) carries round
+  // counters that broadcast_u() does not pin, so identical feedback
+  // can still diverge the next u.
+  constexpr bool kUniformHintable =
+      std::is_same_v<Kernel, kernels::UniformKernel> ||
+      std::is_same_v<Kernel, kernels::LeskKernel>;
+  bool uniform_hint = false;
+
+  for (Slot slot = 0; slot < config.max_slots && active > 0; ++slot) {
+    slots_total += static_cast<std::int64_t>(active);
+    ++slots_done;
+    // Jam bits first: each adversary moves before seeing its lane's
+    // coins, exactly as the sequential engine.
+    bank.step(jam.data(), active);
+    const std::size_t groups = (active + kWideLanes - 1) / kWideLanes;
+
+    // Uniform-slot probe: while no lane has diverged — the whole
+    // jam/collision climb, where every slot is a Collision for every
+    // lane — all lanes share ONE plan, the per-lane plan and mask
+    // scaffolding drops out, and the group draws go dense (advancing a
+    // pad lane's stream is unobservable).
+    const double u0 = kerns[0].broadcast_u();
+    bool uniform = kUniformHintable && uniform_hint;
+    if (!uniform) {
+      uniform = true;
+      for (std::size_t l = 1; l < active; ++l) {
+        if (kerns[l].broadcast_u() != u0) {
+          uniform = false;
+          break;
+        }
+      }
+    }
+    uniform_hint = false;
+    any_single = false;
+    if (uniform) {
+      // One shared plan: dense group draws for every lane (BTPE's first
+      // attempt always consumes u then v, so both come grouped).
+      const BinomialPlan& plan = cache.plan(n, u0);
+      if (plan.regime == BinomialPlan::Regime::kBtpe) {
+        pack.uniform_groups2(groups, first_u.data(), second_u.data());
+      } else if (plan.needs_draw()) {
+        pack.uniform_groups(groups, first_u.data());
+      }
+      bool all_collide = true;
+      for (std::size_t l = 0; l < active; ++l) {
+        all_collide &= settle(l, lane_count(l, plan));
+      }
+      uniform_hint = all_collide;
+    } else {
+      // Mixed slot: per-lane plans (memoized on the previous lane's u,
+      // as lanes mostly share one) with masked group draws.
+      double memo_u = -1.0;
+      const BinomialPlan* memo_plan = nullptr;
+      for (std::size_t l = 0; l < active; ++l) {
+        const double u = kerns[l].broadcast_u();
+        if (memo_plan == nullptr || u != memo_u) {
+          memo_plan = &cache.plan(n, u);
+          memo_u = u;
+        }
+        plans[l] = memo_plan;
+        mask[l] = memo_plan->needs_draw() ? 1 : 0;
+        btpe_mask[l] =
+            memo_plan->regime == BinomialPlan::Regime::kBtpe ? 1 : 0;
+      }
+      for (std::size_t l = active; l < groups * kWideLanes; ++l) {
+        mask[l] = 0;
+        btpe_mask[l] = 0;
+      }
+      pack.uniform_masked(0, groups, mask.data(), first_u.data());
+      // BTPE's first attempt consumes u then v before any test, so v is
+      // grouped too; each lane's stream sees u then v in order.
+      pack.uniform_masked(0, groups, btpe_mask.data(), second_u.data());
+      for (std::size_t l = 0; l < active; ++l) {
+        settle(l, lane_count(l, *plans[l]));
+      }
+    }
+    bank.observe(states.data(), active);
+
+    if (any_single) {
+      // Swap-remove elected lanes; a lane swapped in from the end may
+      // have elected this slot too, so re-examine the index.
+      for (std::size_t l = 0; l < active;) {
+        if (states[l] != static_cast<std::int64_t>(ChannelState::kSingle)) {
+          ++l;
+          continue;
+        }
+        finalize(l, true);
+        --active;
+        if (l != active) {
+          pack.move_lane(l, active);
+          bank.move_lane(l, active);
+          kerns[l] = kerns[active];
+          jams[l] = jams[active];
+          nulls[l] = nulls[active];
+          transmissions[l] = transmissions[active];
+          states[l] = states[active];
+          lane_trial[l] = lane_trial[active];
+        }
+      }
+    }
+  }
+  // Censored lanes: slot budget exhausted with trials in flight.
+  for (std::size_t l = 0; l < active; ++l) finalize(l, false);
+
+  JAMELECT_OBS_COUNT("engine.batch.cohort_chunks", 1);
+  JAMELECT_OBS_COUNT("engine.batch.slots", slots_total);
+  JAMELECT_OBS_COUNT("mc.batch_wide_slots", slots_total);
+  workspace.emit_cache_counters();
+}
+
 }  // namespace
 
 std::optional<BatchKernelSpec> batch_kernel_spec(
@@ -799,6 +1080,24 @@ void run_batch_hybrid_trials(const BatchKernelSpec& spec,
             std::decay_t<decltype(params)>>::type;
         hybrid_lanes_wide<Kernel>(params, adv, config, base, first, count,
                                   out);
+      },
+      spec);
+}
+
+void run_batch_cohort_trials(const CohortKernelSpec& spec,
+                             const AdversarySpec& adversary,
+                             const BatchConfig& config, const Rng& base,
+                             std::size_t first, std::size_t count,
+                             TrialOutcome* out) {
+  JAMELECT_EXPECTS(out != nullptr || count == 0);
+  if (count == 0) return;
+  AdversarySpec adv = adversary;
+  adv.n = config.n;
+  std::visit(
+      [&](const auto& params) {
+        using Kernel = typename KernelFor<
+            std::decay_t<decltype(params)>>::type;
+        cohort_lanes<Kernel>(params, adv, config, base, first, count, out);
       },
       spec);
 }

@@ -37,6 +37,15 @@
 // Entry point for users: set McConfig::batch — run_aggregate_mc and
 // run_hybrid_mc probe their factory with batch_kernel_spec() and fall
 // back to the sequential path for protocols with no kernel twin.
+//
+// The cohort lanes (run_batch_cohort_trials) are the strong-CD slice of
+// run_cohort_mc: a UniformStationAdapter over a paper kernel behaves as
+// one cohort until its first clean Single, which ends the trial, so a
+// lane is one kernel plus one memoized Binomial(n, p(u)) count per slot
+// (support/binomial_cache.hpp). run_cohort_mc sends everything else —
+// weak CD, an observer, any other prototype — to the sequential
+// CohortEngine; tests/cohort_batch_equivalence_test.cpp pins the lanes
+// to it bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -90,6 +99,21 @@ void run_batch_aggregate_trials(const BatchKernelSpec& spec,
 /// Same, for the weak-CD hybrid Notification engine (run_hybrid_mc /
 /// run_hybrid_notification). Requires config.n >= 3.
 void run_batch_hybrid_trials(const BatchKernelSpec& spec,
+                             const AdversarySpec& adversary,
+                             const BatchConfig& config, const Rng& base,
+                             std::size_t first, std::size_t count,
+                             TrialOutcome* out);
+
+/// The kernels a strong-CD cohort lane can run: the paper's uniform
+/// protocols (the baselines keep their aggregate and hybrid lanes).
+using CohortKernelSpec =
+    std::variant<PlainUniformParams, LeskParams, LesuParams>;
+
+/// Same, for run_cohort_mc over a pristine UniformStationAdapter
+/// wrapping `spec`'s protocol, under strong CD. Bit-identical per trial
+/// to the sequential CohortEngine for either stop rule: both end a
+/// trial on its first clean Single.
+void run_batch_cohort_trials(const CohortKernelSpec& spec,
                              const AdversarySpec& adversary,
                              const BatchConfig& config, const Rng& base,
                              std::size_t first, std::size_t count,

@@ -10,15 +10,16 @@
 #include <thread>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
 #include "obs/trace_events.hpp"
+#include "protocols/uniform_station.hpp"
 #include "sim/aggregate.hpp"
 #include "sim/batch.hpp"
 #include "sim/cohort.hpp"
-#include "sim/cohort_batch.hpp"
 #include "sim/mc_accumulate.hpp"
 #include "sim/station_batch.hpp"
 #include "support/expects.hpp"
@@ -331,6 +332,41 @@ std::optional<BatchKernelSpec> probe_batch_factory(
   return spec;
 }
 
+/// Probes a run_cohort_mc sweep for the cohort lanes, which run one
+/// shape only: strong CD, no observer, and a factory whose two fresh
+/// draws are UniformStationAdapters in identical pristine state (not
+/// done, not leader) over a paper kernel. Kernels always begin fresh
+/// from their params, so a warm-started or stateful factory must take
+/// the sequential path, as must weak CD (its Singles split cohorts) and
+/// observers (the lanes have no per-slot hooks).
+std::optional<CohortKernelSpec> probe_cohort_lanes(
+    const std::function<StationProtocolPtr()>& prototype_factory,
+    const EngineConfig& engine) {
+  if (engine.cd != CdMode::kStrong || engine.observer != nullptr) {
+    return std::nullopt;
+  }
+  const StationProtocolPtr a = prototype_factory();
+  const StationProtocolPtr b = prototype_factory();
+  if (a == nullptr || b == nullptr) return std::nullopt;
+  const auto* adapter = dynamic_cast<const UniformStationAdapter*>(a.get());
+  if (adapter == nullptr) return std::nullopt;
+  if (a->done() || a->is_leader() || !a->state_equals(*b)) {
+    return std::nullopt;
+  }
+  const auto kernel = batch_kernel_spec(adapter->protocol());
+  if (!kernel.has_value()) return std::nullopt;
+  if (const auto* p = std::get_if<PlainUniformParams>(&*kernel)) {
+    return CohortKernelSpec{*p};
+  }
+  if (const auto* p = std::get_if<LeskParams>(&*kernel)) {
+    return CohortKernelSpec{*p};
+  }
+  if (const auto* p = std::get_if<LesuParams>(&*kernel)) {
+    return CohortKernelSpec{*p};
+  }
+  return std::nullopt;
+}
+
 /// Registers the batch-path rollup counters at zero so a run manifest
 /// always shows them when the batch knob is on — a sweep that never
 /// falls back (or never goes wide/scalar) reports an explicit 0 rather
@@ -343,10 +379,11 @@ std::optional<BatchKernelSpec> probe_batch_factory(
 ///   .adversary — kept registered as a tombstone: every built-in
 ///               policy has a batch lane engine, so this stays 0 unless
 ///               an out-of-tree build re-adds a disqualifying policy;
-///   .cohort   — a run_cohort_mc prototype the cohort lanes cannot
-///               batch (not a pristine UniformStationAdapter over a
-///               paper kernel — e.g. Notification, a baseline, or a
-///               warm-started factory).
+///   .cohort   — a run_cohort_mc sweep the cohort lanes do not run
+///               (probe_cohort_lanes): weak CD, an observer, or a
+///               prototype that is not a pristine UniformStationAdapter
+///               over a paper kernel — e.g. Notification, a baseline,
+///               or a warm-started factory.
 void register_batch_counters() {
   JAMELECT_OBS_COUNT("mc.batch_fallbacks", 0);
   JAMELECT_OBS_COUNT("mc.batch_fallback.protocol", 0);
@@ -538,21 +575,17 @@ McResult run_cohort_mc(
   spec.n = n;
   if (config.batch > 0) {
     register_batch_counters();
-    if (engine.observer != nullptr) {
-      count_batch_fallback(BatchFallbackReason::kObserver);
-    } else if (const auto kernel = cohort_batch_spec(prototype_factory)) {
+    if (const auto kernel = probe_cohort_lanes(prototype_factory, engine)) {
       const BatchChunkRunner chunk =
           [kernel = *kernel, spec, n, max_slots = engine.max_slots,
-           cd = engine.cd, stop = engine.stop,
            base = Rng(config.seed)](std::size_t first, std::size_t count,
                                     TrialOutcome* out) {
-            run_cohort_batch_trials(kernel, spec, {n, max_slots, cd, stop},
-                                    base, first, count, out);
+            run_batch_cohort_trials(kernel, spec, {n, max_slots}, base, first,
+                                    count, out);
           };
       return run_trials_batched(chunk, n, config);
-    } else {
-      count_batch_fallback(BatchFallbackReason::kCohort);
     }
+    count_batch_fallback(BatchFallbackReason::kCohort);
   }
   const TrialRunner runner = [&prototype_factory, spec, n, engine](Rng rng) {
     auto adv = make_adversary(spec, rng.child(0xad50));

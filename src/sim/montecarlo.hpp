@@ -39,9 +39,9 @@ struct McConfig {
   /// probabilities — for kernelizable protocols (LESK, LESU, plain
   /// uniform, Willard, Nakano–Olariu, NoCdElection); run_station_mc
   /// runs kernelizable station protocols (ARSS) through devirtualized
-  /// trial chunks (sim/station_batch.hpp); run_cohort_mc runs paper-
-  /// protocol prototypes (LESK, LESU, plain uniform) as multi-trial
-  /// cohort lanes with memoized binomial plans (sim/cohort_batch.hpp).
+  /// trial chunks (sim/station_batch.hpp); run_cohort_mc runs strong-
+  /// CD sweeps of paper-protocol prototypes (LESK, LESU, plain uniform)
+  /// as one-cohort lanes with memoized binomial plans (sim/batch.hpp).
   /// Anything else falls back to the sequential path, counted by
   /// mc.batch_fallbacks and the reason-labeled mc.batch_fallback.*
   /// partition. Per-trial outcomes are bit-identical to batch == 0

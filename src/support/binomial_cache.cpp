@@ -10,7 +10,8 @@ BinomialPlan build_binomial_plan(std::uint64_t n, double p) {
   // Same contract — and the same dispatch ladder, expression for
   // expression — as binomial_sample (support/binomial.cpp). Any edit
   // there must be mirrored here or the bit-identity contract breaks
-  // (pinned by tests/cohort_batch_equivalence_test.cpp).
+  // (pinned by BinomialPlanEquivalence in
+  // tests/cohort_batch_equivalence_test.cpp).
   JAMELECT_EXPECTS(p >= 0.0 && p <= 1.0);
   BinomialPlan plan;
   plan.n = n;

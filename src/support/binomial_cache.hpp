@@ -31,11 +31,11 @@
 // uniform stream it returns the same k. The inversion table is the
 // pmf walk's own prefix sums (same recurrence, same truncation at
 // pmf underflow), making lower_bound the walk's exit condition
-// verbatim; the equivalence is pinned by
+// verbatim; the equivalence is pinned by BinomialPlanEquivalence in
 // tests/cohort_batch_equivalence_test.cpp.
 //
 // The cache is unsynchronized; each batch worker thread owns one
-// instance (thread_local in sim/cohort_batch.cpp).
+// instance (thread_local beside the cohort lanes in sim/batch.cpp).
 #pragma once
 
 #include <algorithm>

@@ -153,17 +153,24 @@ void WideXoshiro::uniform_groups(std::size_t groups, double* out) noexcept {
                                       groups, out);
 }
 
-void WideXoshiro::uniform_masked(std::size_t groups, const std::uint8_t* mask,
+void WideXoshiro::uniform_masked(std::size_t first_group,
+                                 std::size_t end_group,
+                                 const std::uint8_t* mask,
                                  double* out) noexcept {
+  // Both backends walk from the range's first lane: the planes, the
+  // mask and out are offset alike, so lanes before it are never read.
+  const std::size_t i = first_group * kWideLanes;
+  const std::size_t groups = end_group - first_group;
 #if defined(JAMELECT_WIDE_AVX2)
   if (isa_ == WideIsa::kAvx2) {
-    wide_detail::uniform_masked_avx2(plane(0), plane(1), plane(2), plane(3),
-                                     groups, mask, out);
+    wide_detail::uniform_masked_avx2(plane(0) + i, plane(1) + i, plane(2) + i,
+                                     plane(3) + i, groups, mask + i, out + i);
     return;
   }
 #endif
-  wide_detail::uniform_masked_scalar4(plane(0), plane(1), plane(2), plane(3),
-                                      groups, mask, out);
+  wide_detail::uniform_masked_scalar4(plane(0) + i, plane(1) + i,
+                                      plane(2) + i, plane(3) + i, groups,
+                                      mask + i, out + i);
 }
 
 void WideXoshiro::uniform_groups2(std::size_t groups, double* out_u,

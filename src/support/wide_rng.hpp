@@ -151,11 +151,16 @@ class WideXoshiro {
   /// padded_lanes(). Backend per active_wide_isa() at construction.
   void uniform_groups(std::size_t groups, double* out) noexcept;
 
-  /// Advances ONLY the lanes with mask[k] != 0 among the first
-  /// groups * kWideLanes lanes, writing their uniforms to out[k];
-  /// unmasked lanes keep their stream position and their out slot.
-  void uniform_masked(std::size_t groups, const std::uint8_t* mask,
-                      double* out) noexcept;
+  /// Advances ONLY the lanes with mask[k] != 0 among the lanes of
+  /// groups [first_group, end_group) — lanes [first_group * kWideLanes,
+  /// end_group * kWideLanes) — writing their uniforms to out[k]; mask
+  /// and out are indexed by absolute lane. Unmasked lanes keep their
+  /// stream position and their out slot, and lanes outside the groups
+  /// are never read or touched, whatever their mask says. Requires
+  /// first_group <= end_group and end_group * kWideLanes <=
+  /// padded_lanes().
+  void uniform_masked(std::size_t first_group, std::size_t end_group,
+                      const std::uint8_t* mask, double* out) noexcept;
 
   /// Two consecutive draws per lane in one state pass: lane k's next
   /// uniform goes to out_u[k], the one after to out_v[k]. Bit-identical

@@ -1,11 +1,12 @@
-// The batched cohort engine (sim/cohort_batch.hpp, McConfig::batch on
-// run_cohort_mc) must return bit-identical per-trial TrialOutcomes to
-// the sequential CohortEngine path for the same seed — for every
-// paper kernel, both CD modes, any lane count, and any pool width. The
+// The cohort lanes (run_batch_cohort_trials, McConfig::batch on a
+// strong-CD run_cohort_mc) must return bit-identical per-trial
+// TrialOutcomes to the sequential CohortEngine path for the same seed —
+// for every paper kernel, both stop rules, every policy, n up to 2^20,
+// any lane count, and any pool width. Every other sweep shape (weak CD,
+// non-adapter prototypes) must fall back to the sequential engine. The
 // memoized binomial plans must reproduce binomial_sample draw for draw
-// in every regime, and cohort-cap overflow must retire lanes to a
-// rerun that still matches the sequential engine.
-#include "sim/cohort_batch.hpp"
+// in every regime.
+#include "sim/batch.hpp"
 
 #include <gtest/gtest.h>
 
@@ -23,7 +24,6 @@
 #include "protocols/lewk.hpp"
 #include "protocols/plain_uniform.hpp"
 #include "protocols/uniform_station.hpp"
-#include "sim/cohort.hpp"
 #include "sim/montecarlo.hpp"
 #include "support/binomial.hpp"
 #include "support/binomial_cache.hpp"
@@ -69,7 +69,7 @@ void expect_all_outcomes_eq(const McResult& a, const McResult& b) {
 }
 
 struct Scenario {
-  const char* name;
+  std::string name;
   std::function<StationProtocolPtr()> factory;
   AdversarySpec adversary;
   std::uint64_t n;
@@ -90,22 +90,78 @@ struct Scenario {
   return spec;
 }
 
+[[nodiscard]] std::function<StationProtocolPtr()> lesk_station(double eps) {
+  return [eps] {
+    return std::make_unique<UniformStationAdapter>(
+        std::make_unique<Lesk>(LeskParams{eps, 0.0}));
+  };
+}
+
 /// LESK(0.5) at n = 128 under every policy make_adversary accepts, in
-/// both CD modes (weak CD splits cohorts). The lanes take every
-/// policy's jams from their LaneAdversaryBank: the lane-invariant ones
-/// through its one shared adversary, the adaptive ones through per-lane
-/// state fed by one observe() per slot.
-[[nodiscard]] std::vector<Scenario> policy_scenarios() {
+/// `cd` mode. The lanes take every policy's jams from their
+/// LaneAdversaryBank: the lane-invariant ones through its one shared
+/// adversary, the adaptive ones through per-lane state fed by one
+/// observe() per slot.
+[[nodiscard]] std::vector<Scenario> policy_scenarios(CdMode cd) {
   std::vector<Scenario> list;
   for (const std::string& policy : adversary_policy_names()) {
-    const auto factory = [] {
-      return std::make_unique<UniformStationAdapter>(
-          std::make_unique<Lesk>(LeskParams{0.5, 0.0}));
-    };
-    list.push_back({policy.c_str(), factory, policy_spec(policy), 128,
-                    EngineConfig{CdMode::kStrong, StopRule::kAllDone, 20000}});
-    list.push_back({policy.c_str(), factory, policy_spec(policy), 128,
-                    EngineConfig{CdMode::kWeak, StopRule::kAllDone, 2000}});
+    list.push_back({policy, lesk_station(0.5), policy_spec(policy),
+                    128,
+                    EngineConfig{cd, StopRule::kAllDone,
+                                 cd == CdMode::kStrong ? 20000 : 2000}});
+  }
+  return list;
+}
+
+/// The shapes jamelectd sends the cohort lanes (service/sweep_runner.cpp):
+/// lesk (eps 0.5), lesu (c = 6) and plain uniform at u = log2(n), under
+/// the service's default-tuned policies, with n up to 2^20 so the large-n
+/// inversion and BTPE fast paths meet the sequential engine, under both
+/// stop rules. The censored rows stop LESK and LESU mid-climb.
+[[nodiscard]] std::vector<Scenario> service_scenarios() {
+  struct Protocol {
+    const char* name;
+    std::function<StationProtocolPtr()> (*factory)(std::uint64_t n);
+  };
+  const Protocol protocols[] = {
+      {"lesk", [](std::uint64_t) { return lesk_station(0.5); }},
+      {"lesu",
+       [](std::uint64_t) -> std::function<StationProtocolPtr()> {
+         return [] {
+           return std::make_unique<UniformStationAdapter>(
+               std::make_unique<Lesu>(LesuParams{}));
+         };
+       }},
+      {"uniform",
+       [](std::uint64_t n) -> std::function<StationProtocolPtr()> {
+         const double u = std::log2(static_cast<double>(n));
+         return [u] {
+           return std::make_unique<UniformStationAdapter>(
+               std::make_unique<PlainUniform>(PlainUniformParams{u}));
+         };
+       }},
+  };
+  std::vector<Scenario> list;
+  for (const StopRule stop : {StopRule::kAllDone, StopRule::kFirstSingle}) {
+    for (const Protocol& protocol : protocols) {
+      for (const std::uint64_t n : {std::uint64_t{1}, std::uint64_t{2},
+                                    std::uint64_t{1} << 6,
+                                    std::uint64_t{1} << 14,
+                                    std::uint64_t{1} << 20}) {
+        for (const char* policy :
+             {"none", "periodic", "bernoulli", "collision_forcer"}) {
+          AdversarySpec spec;
+          spec.policy = policy;
+          list.push_back({std::string("service/") + protocol.name,
+                          protocol.factory(n), spec, n,
+                          EngineConfig{CdMode::kStrong, stop, 100'000}});
+        }
+      }
+      list.push_back({std::string("service_censored/") + protocol.name,
+                      protocol.factory(1 << 20),
+                      AdversarySpec{}, 1 << 20,
+                      EngineConfig{CdMode::kStrong, stop, 300}});
+    }
   }
   return list;
 }
@@ -121,30 +177,11 @@ struct Scenario {
   bern.policy = "bernoulli";
   bern.T = 64;
   bern.eps = 0.25;
-  list.push_back({"lesk_strong_alldone",
-                  [] {
-                    return std::make_unique<UniformStationAdapter>(
-                        std::make_unique<Lesk>(LeskParams{0.5, 0.0}));
-                  },
-                  none, 64,
+  list.push_back({"lesk_strong_alldone", lesk_station(0.5), none, 64,
                   EngineConfig{CdMode::kStrong, StopRule::kAllDone, 20000}});
   list.push_back(
-      {"lesk_strong_first_single_saturating",
-       [] {
-         return std::make_unique<UniformStationAdapter>(
-             std::make_unique<Lesk>(LeskParams{0.25, 0.0}));
-       },
-       sat, 1024,
+      {"lesk_strong_first_single_saturating", lesk_station(0.25), sat, 1024,
        EngineConfig{CdMode::kStrong, StopRule::kFirstSingle, 20000}});
-  // Weak CD: Single slots split the transmitter from the frozen
-  // listeners, so the cohort table actually grows and merges.
-  list.push_back({"lesk_weak_alldone",
-                  [] {
-                    return std::make_unique<UniformStationAdapter>(
-                        std::make_unique<Lesk>(LeskParams{0.5, 0.0}));
-                  },
-                  none, 64,
-                  EngineConfig{CdMode::kWeak, StopRule::kAllDone, 2000}});
   list.push_back({"plain_uniform_first_single",
                   [] {
                     return std::make_unique<UniformStationAdapter>(
@@ -161,25 +198,38 @@ struct Scenario {
                   EngineConfig{CdMode::kStrong, StopRule::kAllDone, 60000}});
   // Adaptive adversary: the bank's per-lane adversaries must reproduce
   // the sequential per-trial feedback loop exactly.
-  list.push_back({"lesk_strong_bernoulli",
-                  [] {
-                    return std::make_unique<UniformStationAdapter>(
-                        std::make_unique<Lesk>(LeskParams{0.5, 0.0}));
-                  },
-                  bern, 128,
+  list.push_back({"lesk_strong_bernoulli", lesk_station(0.5), bern, 128,
                   EngineConfig{CdMode::kStrong, StopRule::kAllDone, 20000}});
-  for (Scenario& sc : policy_scenarios()) list.push_back(std::move(sc));
+  for (Scenario& sc : policy_scenarios(CdMode::kStrong)) {
+    list.push_back(std::move(sc));
+  }
+  for (Scenario& sc : service_scenarios()) list.push_back(std::move(sc));
   return list;
+}
+
+/// The scenarios() row called `name`.
+[[nodiscard]] Scenario scenario(const std::string& name) {
+  for (Scenario& sc : scenarios()) {
+    if (sc.name == name) return sc;
+  }
+  ADD_FAILURE() << "no scenario " << name;
+  return scenarios().front();
 }
 
 constexpr std::size_t kLaneCounts[] = {1, 3, 4, 5, 7, 29};
 
 TEST(CohortBatchEquivalence, XoshiroBitIdenticalAcrossLaneCounts) {
+  std::size_t censored = 0;
   for (const Scenario& sc : scenarios()) {
-    SCOPED_TRACE(sc.name);
+    SCOPED_TRACE(sc.name + " " + sc.adversary.policy + " n=" +
+                 std::to_string(sc.n) + " stop=" +
+                 std::to_string(static_cast<int>(sc.engine.stop)));
     const auto seq = run_cohort_mc(sc.factory, sc.adversary, sc.n, sc.engine,
                                    base_config(24, 991, sc.engine.max_slots));
     ASSERT_EQ(seq.outcomes.size(), 24u) << sc.name;
+    if (sc.name.starts_with("service_censored/")) {
+      censored += seq.trials - seq.successes;
+    }
     for (const std::size_t lanes : kLaneCounts) {
       McConfig config = base_config(24, 991, sc.engine.max_slots);
       config.batch = lanes;
@@ -189,10 +239,13 @@ TEST(CohortBatchEquivalence, XoshiroBitIdenticalAcrossLaneCounts) {
       expect_all_outcomes_eq(seq, batched);
     }
   }
+  // Non-vacuous: the censored budget does censor trials.
+  EXPECT_GT(censored, 0u);
 }
 
 TEST(CohortBatchEquivalence, XoshiroBitIdenticalAcrossPoolWidths) {
-  const Scenario sc = scenarios()[1];  // saturating jammer, n = 1024
+  // Saturating jammer, n = 1024.
+  const Scenario sc = scenario("lesk_strong_first_single_saturating");
   const auto seq = run_cohort_mc(sc.factory, sc.adversary, sc.n, sc.engine,
                                  base_config(30, 17, sc.engine.max_slots));
   for (const std::size_t workers : {1u, 3u, 8u}) {
@@ -209,7 +262,8 @@ TEST(CohortBatchEquivalence, XoshiroBitIdenticalAcrossPoolWidths) {
 }
 
 TEST(CohortBatchEquivalence, AdaptivePolicyBitIdenticalAcrossPoolWidths) {
-  const Scenario sc = scenarios()[5];  // bernoulli per-lane adversaries
+  // Bernoulli per-lane adversaries.
+  const Scenario sc = scenario("lesk_strong_bernoulli");
   ASSERT_EQ(sc.adversary.policy, "bernoulli");
   const auto seq = run_cohort_mc(sc.factory, sc.adversary, sc.n, sc.engine,
                                  base_config(30, 23, sc.engine.max_slots));
@@ -227,9 +281,8 @@ TEST(CohortBatchEquivalence, AdaptivePolicyBitIdenticalAcrossPoolWidths) {
 }
 
 TEST(CohortBatchEquivalence, EveryPolicyBitIdenticalAcrossPoolWidths) {
-  for (const Scenario& sc : policy_scenarios()) {
-    SCOPED_TRACE(std::string(sc.name) +
-                 (sc.engine.cd == CdMode::kStrong ? "/strong" : "/weak"));
+  for (const Scenario& sc : policy_scenarios(CdMode::kStrong)) {
+    SCOPED_TRACE(sc.name);
     const auto seq = run_cohort_mc(sc.factory, sc.adversary, sc.n, sc.engine,
                                    base_config(24, 313, sc.engine.max_slots));
     if (sc.adversary.policy != "none") {
@@ -287,93 +340,62 @@ TEST(CohortBatchEquivalence, XoshiroBitIdenticalOnEveryWideBackend) {
   }
 }
 
-TEST(CohortBatchEquivalence, CohortCapOverflowRetiresToExactRerun) {
-  // Weak-CD LESK splits on its first Single slot (done listeners vs
-  // the lone live transmitter), so a cap-1 lane must overflow there
-  // and retire to the scalar rerun — whose outcome still has to be
-  // bit-identical to the sequential engine.
-  const auto factory = [] {
-    return std::make_unique<UniformStationAdapter>(
-        std::make_unique<Lesk>(LeskParams{0.5, 0.0}));
-  };
-  const EngineConfig engine{CdMode::kWeak, StopRule::kAllDone, 2000};
-  const std::uint64_t n = 64;
-  constexpr std::size_t kTrials = 8;
-  AdversarySpec spec;
-  spec.n = n;
-
-  // Prove the scenario actually exceeds the cap: the sequential engine
-  // must see more than 1 simultaneous cohort in at least one trial.
-  bool exceeded = false;
-  for (std::size_t trial = 0; trial < kTrials && !exceeded; ++trial) {
-    const Rng rng = Rng(733).child(trial);
-    CohortEngine eng(factory(), n, make_adversary(spec, rng.child(0xad50)),
-                     rng.child(0x51e0), engine);
-    (void)eng.run();
-    exceeded = eng.peak_cohorts() > 1;
-  }
-  ASSERT_TRUE(exceeded);
-
-  // The rerun steps a one-lane LaneAdversaryBank, which must replay
-  // every policy's sequential jam schedule, not only this one's.
-  std::vector<AdversarySpec> specs{spec};
-  for (const std::string& policy : adversary_policy_names()) {
-    specs.push_back(policy_spec(policy));
-    specs.back().n = n;
-  }
-  std::vector<McResult> seqs;
-  for (const AdversarySpec& adv : specs) {
-    seqs.push_back(run_cohort_mc(factory, adv, n, engine,
-                                 base_config(kTrials, 733, engine.max_slots)));
-  }
-  const auto kernel = cohort_batch_spec(factory);
-  ASSERT_TRUE(kernel.has_value());
-  CohortBatchConfig config;
-  config.n = n;
-  config.max_slots = engine.max_slots;
-  config.cd = engine.cd;
-  config.stop = engine.stop;
-  config.cohort_cap = 1;
+/// Runs `sc` with `batch` lanes and returns the outcomes together with
+/// how many times the sweep fell back to the sequential cohort engine
+/// (-1 where the counters are compiled out).
+[[nodiscard]] std::pair<McResult, std::int64_t> run_counting_fallbacks(
+    const Scenario& sc, McConfig config) {
   auto& reg = obs::MetricsRegistry::global();
   const bool was_enabled = reg.enabled();
   reg.reset();
   reg.set_enabled(true);
-  std::vector<std::vector<TrialOutcome>> outs;
-  for (const AdversarySpec& adv : specs) {
-    outs.emplace_back(kTrials);
-    run_cohort_batch_trials(*kernel, adv, config, Rng(733), 0, kTrials,
-                            outs.back().data());
-  }
+  McResult result =
+      run_cohort_mc(sc.factory, sc.adversary, sc.n, sc.engine, config);
   const auto snap = reg.aggregate();
   reg.set_enabled(was_enabled);
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    SCOPED_TRACE(specs[i].policy);
-    for (std::size_t t = 0; t < kTrials; ++t) {
-      expect_outcome_eq(seqs[i].outcomes[t], outs[i][t], t);
-    }
-  }
+  std::int64_t fallbacks = -1;
   if constexpr (obs::kObsCompiledIn) {
-    // The reruns step one trial at a time: they count as scalar slots.
-    EXPECT_GT(snap.counters.at("engine.cohort.lane_overflow"), 0);
-    EXPECT_GT(snap.counters.at("mc.batch_scalar_slots"), 0);
+    fallbacks = snap.counters.at("mc.batch_fallback.cohort");
   }
+  return {std::move(result), fallbacks};
 }
 
 TEST(CohortBatchEquivalence, NonKernelizablePrototypeFallsBackIdentically) {
-  // LEWK's NotificationStation is not a UniformStationAdapter, so the
-  // probe must refuse and the sweep must fall back to the sequential
-  // engine — same outcomes as batch == 0.
-  ASSERT_FALSE(
-      cohort_batch_spec([] { return make_lewk_station(0.5); }).has_value());
-  AdversarySpec none;
-  const EngineConfig engine{CdMode::kWeak, StopRule::kFirstSingle, 20000};
-  const auto seq = run_cohort_mc([] { return make_lewk_station(0.5); }, none,
-                                 64, engine, base_config(12, 41, 20000));
-  McConfig config = base_config(12, 41, 20000);
-  config.batch = 8;
-  const auto fell_back = run_cohort_mc([] { return make_lewk_station(0.5); },
-                                       none, 64, engine, config);
-  expect_all_outcomes_eq(seq, fell_back);
+  // The lanes run strong CD over UniformStationAdapters only. LEWK's
+  // NotificationStation is not an adapter, and weak CD splits cohorts
+  // on a Single, so both must fall back to the sequential engine —
+  // same outcomes as batch == 0, counted as mc.batch_fallback.cohort.
+  std::vector<Scenario> fall_back{
+      {"lewk", [] { return make_lewk_station(0.5); }, AdversarySpec{}, 64,
+       EngineConfig{CdMode::kWeak, StopRule::kFirstSingle, 20000}},
+      {"lesk_weak_alldone", lesk_station(0.5), AdversarySpec{}, 64,
+       EngineConfig{CdMode::kWeak, StopRule::kAllDone, 2000}}};
+  for (Scenario& sc : policy_scenarios(CdMode::kWeak)) {
+    fall_back.push_back(std::move(sc));
+  }
+  for (const Scenario& sc : fall_back) {
+    SCOPED_TRACE(sc.name);
+    const auto seq = run_cohort_mc(sc.factory, sc.adversary, sc.n, sc.engine,
+                                   base_config(12, 41, sc.engine.max_slots));
+    McConfig config = base_config(12, 41, sc.engine.max_slots);
+    config.batch = 7;
+    const auto [batched, fallbacks] = run_counting_fallbacks(sc, config);
+    expect_all_outcomes_eq(seq, batched);
+    if constexpr (obs::kObsCompiledIn) {
+      EXPECT_EQ(fallbacks, 1);
+    }
+  }
+  // The strong-CD twin of every weak row runs on the lanes.
+  for (const Scenario& sc : policy_scenarios(CdMode::kStrong)) {
+    SCOPED_TRACE(sc.name);
+    McConfig config = base_config(12, 41, sc.engine.max_slots);
+    config.batch = 7;
+    const auto [batched, fallbacks] = run_counting_fallbacks(sc, config);
+    EXPECT_EQ(batched.trials, 12u);
+    if constexpr (obs::kObsCompiledIn) {
+      EXPECT_EQ(fallbacks, 0);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ TEST(WideRng, UniformMaskedAdvancesOnlyMaskedLanes) {
       // and all-zero groups.
       std::vector<std::uint8_t> mask(8);
       for (auto& m : mask) m = pattern.bernoulli(0.5) ? 1 : 0;
-      wide.uniform_masked(2, mask.data(), out.data());
+      wide.uniform_masked(0, 2, mask.data(), out.data());
       for (std::size_t k = 0; k < 8; ++k) {
         if (mask[k] != 0) {
           ASSERT_EQ(bits(out[k]), bits(scalars[k].uniform()))
@@ -110,6 +110,43 @@ TEST(WideRng, UniformMaskedAdvancesOnlyMaskedLanes) {
     // Unmasked lanes never moved: their next draw still matches.
     for (std::size_t k = 0; k < 8; ++k) {
       ASSERT_EQ(wide.next_lane(k), scalars[k].next_u64());
+    }
+  }
+}
+
+TEST(WideRng, UniformMaskedFromAFirstGroupLeavesEarlierGroupsUntouched) {
+  for (const WideIsa isa : available_isas()) {
+    IsaGuard guard(isa);
+    WideXoshiro wide(16);
+    std::vector<Rng> scalars;
+    for (std::size_t k = 0; k < 16; ++k) {
+      wide.seed_lane(k, 501 + k);
+      scalars.emplace_back(501 + k);
+    }
+    Rng pattern(9);
+    for (int step = 0; step < 300; ++step) {
+      // Groups [1, 3): lanes 4..11. Lanes 0..3 carry set mask bits and a
+      // sentinel out value that the call must neither read nor write;
+      // lanes 12..15 lie past the range.
+      std::vector<std::uint8_t> mask(16);
+      for (auto& m : mask) m = pattern.bernoulli(0.5) ? 1 : 0;
+      for (std::size_t k = 0; k < 4; ++k) mask[k] = 1;
+      std::vector<double> out(16, -1.0);
+      wide.uniform_masked(1, 3, mask.data(), out.data());
+      for (std::size_t k = 0; k < 16; ++k) {
+        if (k >= 4 && k < 12 && mask[k] != 0) {
+          ASSERT_EQ(bits(out[k]), bits(scalars[k].uniform()))
+              << wide_isa_name(isa) << " lane " << k << " step " << step;
+        } else {
+          ASSERT_EQ(out[k], -1.0)
+              << wide_isa_name(isa) << " lane " << k << " step " << step;
+        }
+      }
+    }
+    // Lanes outside the groups, and unmasked lanes inside, never moved.
+    for (std::size_t k = 0; k < 16; ++k) {
+      ASSERT_EQ(wide.next_lane(k), scalars[k].next_u64())
+          << wide_isa_name(isa) << " lane " << k;
     }
   }
 }
