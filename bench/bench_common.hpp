@@ -23,6 +23,8 @@
 //                           so the width is the hardware concurrency.
 //   JAMELECT_MANIFEST     — set to 0/off to skip the run manifest;
 //   JAMELECT_MANIFEST_DIR — where to write it (default: cwd).
+//   JAMELECT_OBS_PROF     — in a -DJAMELECT_OBS=ON build, adds the
+//                           phase profile to the manifest.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -40,6 +42,7 @@
 #include "analysis/theory.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
+#include "obs/prof.hpp"
 #include "protocols/lesk.hpp"
 #include "protocols/lesu.hpp"
 #include "sim/montecarlo.hpp"
@@ -150,7 +153,7 @@ inline const char* policy_name(int idx) {
 /// run (JAMELECT_MANIFEST=0 disables; see obs/manifest.hpp).
 inline int bench_main(int argc, char** argv) {
   // Probe mode for scripts: print the compiled build flavour and exit,
-  // so scripts/run_bench_perf.sh can refuse to record debug numbers.
+  // so a harness (perfbench/run.py) can refuse to time a debug build.
   if (const char* probe = std::getenv("JAMELECT_BUILD_PROBE");
       probe != nullptr && probe[0] != '\0' && probe[0] != '0') {
     // "obs" reports whether observability is compiled in (the CI
@@ -178,6 +181,16 @@ inline int bench_main(int argc, char** argv) {
                               std::to_string(global_pool().size() + 1));
 
   obs::MetricsRegistry::global().set_enabled(true);
+  // With the profiler on (JAMELECT_OBS_PROF in an obs build), pool waits
+  // fill the `idle` and `steal_wait` phases of the manifest's profile.
+  const bool profiling =
+      obs::kObsCompiledIn && obs::PhaseProfiler::global().enabled();
+  if (profiling) {
+    // Leaked: a worker calls on_task_end after the parallel call it
+    // served has returned, so the observer must outlive every worker.
+    static auto* const pool_prof = new obs::PoolProfObserver();
+    global_pool().set_task_observer(pool_prof);
+  }
 
   std::string cmdline;
   for (int i = 0; i < argc; ++i) {
@@ -193,6 +206,7 @@ inline int bench_main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
+  if (profiling) global_pool().set_task_observer(nullptr);
 
   if (const std::string path = obs::manifest_path_for(name); !path.empty()) {
     obs::RunManifest manifest;

@@ -29,7 +29,8 @@ cleanup() {
 trap cleanup EXIT
 
 start_daemon() {
-  "$DAEMON" --port=0 --workers=4 --cache-dir="$WORK/cache" > "$LOG" 2>&1 &
+  "$DAEMON" --port=0 --workers=4 --cache-dir="$WORK/cache" \
+    --flight="$WORK/flight" > "$LOG" 2>&1 &
   DPID=$!
   # The listening line carries the ephemeral port; wait for it.
   for _ in $(seq 1 50); do
@@ -44,15 +45,13 @@ start_daemon() {
 echo "== cold trace (computes, then hits)"
 start_daemon
 "$LOADGEN" --port="$PORT" --requests=10000 --concurrency=8 --configs=16 \
-  --hot-frac=0.9 --trials=32 --max-slots=20000 --min-hit-rate=0.5 \
-  --manifest=loadgen_cold
+  --hot-frac=0.9 --trials=32 --max-slots=20000 --min-hit-rate=0.5
 
 echo "== warm restart (disk cache only, hit rate ~1.0)"
 kill -TERM "$DPID"; wait "$DPID"
 start_daemon
 "$LOADGEN" --port="$PORT" --requests=2000 --concurrency=8 --configs=16 \
-  --hot-frac=0.9 --trials=32 --max-slots=20000 --min-hit-rate=0.99 \
-  --manifest=loadgen_warm
+  --hot-frac=0.9 --trials=32 --max-slots=20000 --min-hit-rate=0.99
 
 echo "== kill mid-sweep drains and exits 0"
 # A heavy sweep (fire-and-forget) occupies a worker, then SIGTERM lands

@@ -10,6 +10,7 @@
 
 #include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
+#include "obs/prof.hpp"
 
 namespace jamelect::obs {
 
@@ -137,6 +138,22 @@ std::string RunManifest::to_json() const {
       first = false;
     }
     out << (first ? "}" : "\n    }") << "\n  }";
+  }
+  if (kObsCompiledIn && PhaseProfiler::global().enabled()) {
+    const ProfSnapshot prof = PhaseProfiler::global().snapshot();
+    out << ",\n  \"profile\": {\n    \"phases\": {";
+    for (std::size_t i = 0; i < kPhaseCount; ++i) {
+      out << (i == 0 ? "\n" : ",\n") << "      \""
+          << phase_name(static_cast<Phase>(i)) << "\": {\"ns\": " << prof.ns[i]
+          << ", \"calls\": " << prof.calls[i] << '}';
+    }
+    out << "\n    },\n    \"counters\": {";
+    for (std::size_t i = 0; i < kProfCounterCount; ++i) {
+      out << (i == 0 ? "\n" : ",\n") << "      \""
+          << prof_counter_name(static_cast<ProfCounter>(i))
+          << "\": " << prof.counters[i];
+    }
+    out << "\n    }\n  }";
   }
   out << "\n}\n";
   return out.str();

@@ -5,8 +5,11 @@
 // series can be traced back to the exact configuration that produced
 // it: config key-values, RNG seed, git SHA, build type and flags
 // (obs/build_info.hpp, generated at configure time), whether telemetry
-// macros were compiled in, and a rollup of every metric the global
-// MetricsRegistry collected during the run.
+// macros were compiled in, a rollup of every metric the global
+// MetricsRegistry collected during the run, and — when the profiler is
+// compiled in and enabled (JAMELECT_OBS_PROF) — a `profile` object with
+// the PhaseProfiler's cross-thread ns and calls per phase and its
+// counter totals.
 //
 // Schema: docs/OBSERVABILITY.md §Manifests.
 #pragma once

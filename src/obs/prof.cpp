@@ -89,20 +89,14 @@ void PhaseProfiler::count(ProfCounter counter, std::int64_t delta) noexcept {
 ProfSnapshot PhaseProfiler::snapshot() const {
   std::lock_guard lock(mutex_);
   ProfSnapshot snap;
-  snap.threads.reserve(slabs_.size());
   for (const auto& slab : slabs_) {
-    ProfThreadSnapshot t;
     for (std::size_t i = 0; i < kPhaseCount; ++i) {
-      t.ns[i] = slab->ns[i].load(std::memory_order_relaxed);
-      t.calls[i] = slab->calls[i].load(std::memory_order_relaxed);
-      snap.total.ns[i] += t.ns[i];
-      snap.total.calls[i] += t.calls[i];
+      snap.ns[i] += slab->ns[i].load(std::memory_order_relaxed);
+      snap.calls[i] += slab->calls[i].load(std::memory_order_relaxed);
     }
     for (std::size_t i = 0; i < kProfCounterCount; ++i) {
-      t.counters[i] = slab->counters[i].load(std::memory_order_relaxed);
-      snap.total.counters[i] += t.counters[i];
+      snap.counters[i] += slab->counters[i].load(std::memory_order_relaxed);
     }
-    snap.threads.push_back(t);
   }
   return snap;
 }

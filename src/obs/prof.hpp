@@ -63,10 +63,8 @@ inline constexpr std::size_t kPhaseCount = 13;
 
 [[nodiscard]] const char* phase_name(Phase phase) noexcept;
 
-/// Per-thread event counters that ride along with phase timings —
-/// cheap enough to keep per-thread where MetricsRegistry only keeps
-/// process rollups (the scaling report needs per-thread cache hit-rate
-/// variance, not just the global hit rate).
+/// Event counters that ride along with phase timings, so a profile
+/// carries its own denominators (cache hit rate, slots per chunk).
 enum class ProfCounter : std::uint8_t {
   kCacheLookups,
   kCacheHits,
@@ -85,18 +83,11 @@ inline constexpr std::size_t kProfCounterCount = 5;
       .count();
 }
 
-/// One thread's totals.
-struct ProfThreadSnapshot {
+/// Totals over every thread that ever wrote.
+struct ProfSnapshot {
   std::array<std::int64_t, kPhaseCount> ns{};
   std::array<std::int64_t, kPhaseCount> calls{};
   std::array<std::int64_t, kProfCounterCount> counters{};
-};
-
-/// Aggregated view: one entry per thread that ever wrote, plus the
-/// cross-thread total.
-struct ProfSnapshot {
-  std::vector<ProfThreadSnapshot> threads;
-  ProfThreadSnapshot total;
 };
 
 class PhaseProfiler {

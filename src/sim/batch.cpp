@@ -107,9 +107,8 @@ class BatchWorkspace {
                          static_cast<std::int64_t>(dense - e->dense_seen));
       JAMELECT_OBS_COUNT("engine.batch.cache_misses",
                          static_cast<std::int64_t>(misses - e->misses_seen));
-      // Per-thread mirror for the profiler: the scaling report needs
-      // hit-rate VARIANCE across workers, which the process-wide
-      // registry rollup above cannot reconstruct.
+      // Mirror for the profiler, so a manifest's `profile` carries the
+      // hit rate beside the cache_lookup time it explains.
       obs::prof_count(obs::ProfCounter::kCacheLookups,
                       static_cast<std::int64_t>(lookups - e->lookups_seen));
       obs::prof_count(obs::ProfCounter::kCacheHits,

@@ -1,6 +1,7 @@
 #include "support/cli.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <stdexcept>
 
 #include "support/expects.hpp"
@@ -47,23 +48,49 @@ std::string Cli::get_string(const std::string& name,
   return raw(name).value_or(fallback);
 }
 
+namespace {
+
+// Parses the whole of `text` as a T, or throws std::invalid_argument
+// naming the option: no trailing junk, no sign on an unsigned, no
+// out-of-range value wrapped or clamped.
+template <class T>
+T parse_number(const std::string& name, const std::string& text,
+               const char* what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    throw std::invalid_argument("--" + name + "=" + text + ": not " + what);
+  }
+  return value;
+}
+
+}  // namespace
+
 std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const {
   const auto v = raw(name);
   if (!v) return fallback;
-  return std::stoll(*v);
+  return parse_number<std::int64_t>(name, *v, "an integer");
 }
 
-std::uint64_t Cli::get_uint(const std::string& name,
-                            std::uint64_t fallback) const {
+std::uint64_t Cli::get_uint(const std::string& name, std::uint64_t fallback,
+                            std::uint64_t lo, std::uint64_t hi) const {
   const auto v = raw(name);
   if (!v) return fallback;
-  return std::stoull(*v);
+  const auto value =
+      parse_number<std::uint64_t>(name, *v, "an unsigned integer");
+  if (value < lo || value > hi) {
+    throw std::invalid_argument("--" + name + "=" + *v + ": not in [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "]");
+  }
+  return value;
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto v = raw(name);
   if (!v) return fallback;
-  return std::stod(*v);
+  return parse_number<double>(name, *v, "a number");
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {

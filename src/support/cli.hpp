@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -23,10 +24,15 @@ class Cli {
 
   [[nodiscard]] std::string get_string(const std::string& name,
                                        const std::string& fallback) const;
+  /// Numeric accessors parse the whole value and throw
+  /// std::invalid_argument naming the option on anything else
+  /// ("12x", "-1" for an unsigned, a value out of the type's range).
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
-  [[nodiscard]] std::uint64_t get_uint(const std::string& name,
-                                       std::uint64_t fallback) const;
+  /// Also throws when the value lies outside [lo, hi].
+  [[nodiscard]] std::uint64_t get_uint(
+      const std::string& name, std::uint64_t fallback, std::uint64_t lo = 0,
+      std::uint64_t hi = std::numeric_limits<std::uint64_t>::max()) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   /// Boolean flags: `--x`, `--x=true/false/1/0/yes/no`.
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;

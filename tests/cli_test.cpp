@@ -71,6 +71,26 @@ TEST(Cli, ProvidedNamesAndProgram) {
   EXPECT_EQ(names[1], "b");
 }
 
+TEST(Cli, NumbersMustParseWhole) {
+  const Cli cli = make({"--a=12x", "--b=-1", "--c=abc", "--d=",
+                        "--e=99999999999999999999", "--f=0.5.1"});
+  EXPECT_THROW((void)cli.get_int("a", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_uint("b", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_uint("c", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_uint("d", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_uint("e", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_double("f", 0), std::invalid_argument);
+  EXPECT_EQ(cli.get_int("b", 0), -1);
+}
+
+TEST(Cli, UintBoundsAreInclusive) {
+  const Cli cli = make({"--port=65535", "--big=65536", "--zero=0"});
+  EXPECT_EQ(cli.get_uint("port", 0, 0, 65535), 65535u);
+  EXPECT_THROW((void)cli.get_uint("big", 0, 0, 65535), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_uint("zero", 1, 1, 8), std::invalid_argument);
+  EXPECT_EQ(cli.get_uint("missing", 9, 1, 8), 9u);  // fallbacks unchecked
+}
+
 TEST(Cli, LastValueWins) {
   const Cli cli = make({"--n=1", "--n=2"});
   EXPECT_EQ(cli.get_int("n", 0), 2);

@@ -13,7 +13,9 @@
 
 #include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
+#include "obs/prof.hpp"
 #include "obs/trace_events.hpp"
+#include "service/json.hpp"
 #include "support/thread_pool.hpp"
 
 namespace jamelect::obs {
@@ -52,6 +54,64 @@ TEST(Manifest, MetricsRollupIncludesGlobalCounters) {
   reg.set_enabled(was_enabled);
   EXPECT_NE(json.find("\"metrics\""), std::string::npos);
   EXPECT_NE(json.find("\"manifest.test.counter\": "), std::string::npos);
+}
+
+// Drops the created_unix_ms line, the one field two back-to-back
+// to_json() calls may disagree on.
+std::string without_timestamp(std::string json) {
+  const auto at = json.find("  \"created_unix_ms\"");
+  return json.erase(at, json.find('\n', at) + 1 - at);
+}
+
+TEST(Manifest, ProfileWrittenOnlyWhileTheProfilerIsOn) {
+  auto& prof = PhaseProfiler::global();
+  const bool was_enabled = prof.enabled();
+  RunManifest m;
+  m.name = "profile";
+  m.include_metrics = false;
+  prof.set_enabled(false);
+  const std::string off = without_timestamp(m.to_json());
+  prof.set_enabled(true);
+  prof.record(Phase::kMerge, 1234, 2);
+  prof.count(ProfCounter::kChunks, 3);
+  const ProfSnapshot snap = prof.snapshot();
+  const std::string on = without_timestamp(m.to_json());
+  prof.set_enabled(was_enabled);
+
+  const auto off_doc = service::Json::parse(off);
+  ASSERT_TRUE(off_doc.has_value()) << off;
+  EXPECT_EQ(off_doc->find("profile"), nullptr);
+  if constexpr (!kObsCompiledIn) {
+    EXPECT_EQ(on, off);
+    return;
+  }
+  const auto on_doc = service::Json::parse(on);
+  ASSERT_TRUE(on_doc.has_value()) << on;
+  const service::Json* profile = on_doc->find("profile");
+  ASSERT_NE(profile, nullptr) << on;
+  // The profile is appended; everything before it is the disabled JSON.
+  const auto at = on.find(",\n  \"profile\": {");
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_EQ(on.substr(0, at) + "\n}\n", off);
+
+  const service::Json* phases = profile->find("phases");
+  ASSERT_NE(phases, nullptr);
+  for (std::size_t i = 0; i < kPhaseCount; ++i) {
+    const service::Json* phase = phases->find(phase_name(static_cast<Phase>(i)));
+    ASSERT_NE(phase, nullptr) << phase_name(static_cast<Phase>(i));
+    EXPECT_EQ(phase->find("ns")->as_int(-1), snap.ns[i]);
+    EXPECT_EQ(phase->find("calls")->as_int(-1), snap.calls[i]);
+  }
+  EXPECT_GE(snap.ns[static_cast<std::size_t>(Phase::kMerge)], 1234);
+  const service::Json* counters = profile->find("counters");
+  ASSERT_NE(counters, nullptr);
+  for (std::size_t i = 0; i < kProfCounterCount; ++i) {
+    const auto counter = static_cast<ProfCounter>(i);
+    ASSERT_NE(counters->find(prof_counter_name(counter)), nullptr);
+    EXPECT_EQ(counters->find(prof_counter_name(counter))->as_int(-1),
+              snap.counters[i]);
+  }
+  EXPECT_GE(snap.counters[static_cast<std::size_t>(ProfCounter::kChunks)], 3);
 }
 
 TEST(Manifest, WriteFileRoundTrips) {

@@ -10,7 +10,6 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "obs/span.hpp"
 #include "protocols/lesk.hpp"
@@ -240,16 +239,16 @@ TEST(PhaseProfiler, RecordAggregatesAndResetZeroes) {
   const auto snap = prof.snapshot();
   const auto classify = static_cast<std::size_t>(Phase::kClassify);
   const auto merge = static_cast<std::size_t>(Phase::kMerge);
-  EXPECT_EQ(snap.total.ns[classify], 150);
-  EXPECT_EQ(snap.total.calls[classify], 3);
-  EXPECT_EQ(snap.total.ns[merge], 7);
+  EXPECT_EQ(snap.ns[classify], 150);
+  EXPECT_EQ(snap.calls[classify], 3);
+  EXPECT_EQ(snap.ns[merge], 7);
   EXPECT_EQ(
-      snap.total.counters[static_cast<std::size_t>(ProfCounter::kCacheLookups)],
+      snap.counters[static_cast<std::size_t>(ProfCounter::kCacheLookups)],
       10);
   prof.reset();
   const auto zeroed = prof.snapshot();
-  EXPECT_EQ(zeroed.total.ns[classify], 0);
-  EXPECT_EQ(zeroed.total.calls[classify], 0);
+  EXPECT_EQ(zeroed.ns[classify], 0);
+  EXPECT_EQ(zeroed.calls[classify], 0);
 }
 
 TEST(PhaseProfiler, SnapshotSeparatesThreads) {
@@ -260,16 +259,7 @@ TEST(PhaseProfiler, SnapshotSeparatesThreads) {
   std::thread other([&] { prof.record(Phase::kRng, 31); });
   other.join();
   const auto snap = prof.snapshot();
-  EXPECT_EQ(snap.total.ns[rng], 42);
-  // One slab per writer thread; each holds exactly its own share.
-  std::vector<std::int64_t> shares;
-  for (const auto& t : snap.threads) {
-    if (t.ns[rng] != 0) shares.push_back(t.ns[rng]);
-  }
-  std::sort(shares.begin(), shares.end());
-  ASSERT_EQ(shares.size(), 2u);
-  EXPECT_EQ(shares[0], 11);
-  EXPECT_EQ(shares[1], 31);
+  EXPECT_EQ(snap.ns[rng], 42);
 }
 
 TEST(PhaseAccumulator, StitchedSectionsFlushToProfiler) {
@@ -286,16 +276,16 @@ TEST(PhaseAccumulator, StitchedSectionsFlushToProfiler) {
   }  // destructor flushes
   const auto snap = prof.snapshot();
   if constexpr (kObsCompiledIn) {
-    EXPECT_EQ(snap.total.calls[static_cast<std::size_t>(Phase::kCacheLookup)],
+    EXPECT_EQ(snap.calls[static_cast<std::size_t>(Phase::kCacheLookup)],
               1);
-    EXPECT_EQ(snap.total.calls[static_cast<std::size_t>(Phase::kClassify)], 1);
-    EXPECT_GE(snap.total.ns[static_cast<std::size_t>(Phase::kClassify)], 0);
-    EXPECT_EQ(snap.total.ns[static_cast<std::size_t>(Phase::kMerge)], 1234);
-    EXPECT_EQ(snap.total.calls[static_cast<std::size_t>(Phase::kMerge)], 2);
+    EXPECT_EQ(snap.calls[static_cast<std::size_t>(Phase::kClassify)], 1);
+    EXPECT_GE(snap.ns[static_cast<std::size_t>(Phase::kClassify)], 0);
+    EXPECT_EQ(snap.ns[static_cast<std::size_t>(Phase::kMerge)], 1234);
+    EXPECT_EQ(snap.calls[static_cast<std::size_t>(Phase::kMerge)], 2);
     EXPECT_EQ(
-        snap.total.counters[static_cast<std::size_t>(ProfCounter::kChunks)], 1);
+        snap.counters[static_cast<std::size_t>(ProfCounter::kChunks)], 1);
   } else {
-    EXPECT_EQ(snap.total.ns[static_cast<std::size_t>(Phase::kMerge)], 0);
+    EXPECT_EQ(snap.ns[static_cast<std::size_t>(Phase::kMerge)], 0);
   }
 }
 
@@ -309,8 +299,8 @@ TEST(PhaseAccumulator, DisabledProfilerRecordsNothing) {
     acc.add(Phase::kMerge, 999);
   }
   const auto snap = prof.snapshot();
-  EXPECT_EQ(snap.total.ns[static_cast<std::size_t>(Phase::kMerge)], 0);
-  EXPECT_EQ(snap.total.calls[static_cast<std::size_t>(Phase::kClassify)], 0);
+  EXPECT_EQ(snap.ns[static_cast<std::size_t>(Phase::kMerge)], 0);
+  EXPECT_EQ(snap.calls[static_cast<std::size_t>(Phase::kClassify)], 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,50 +3,49 @@
 //   jamelect_loadgen --port=PORT [--host=127.0.0.1]
 //                    [--requests=10000] [--concurrency=8]
 //                    [--configs=16] [--hot-frac=0.9]
-//                    [--n=256] [--trials=32] [--eps=0.5] [--T=32]
-//                    [--adversary=none] [--max-slots=20000] [--batch=64]
-//                    [--seed=1] [--rate=0] [--min-hit-rate=-1]
-//                    [--manifest=jamelect_loadgen]
+//                    [--trials=32] [--max-slots=20000] [--min-hit-rate=-1]
 //
-// The trace is deterministic in --seed: each request draws one of
-// --configs distinct sweep configs (distinguished by their RNG seed
-// field), with probability --hot-frac of drawing config 0 — a skewed
-// mix where the hot config becomes a cache hit after its first
-// computation, so the steady-state hit rate approaches the skew. Each
-// of --concurrency threads replays its slice over one persistent
-// line-protocol connection (closed loop; --rate=R paces each thread at
-// R requests/s, open loop). 429 rejections are counted and retried
-// after a backoff so the delivered request count stays fixed.
+// Each request is a LESK sweep at n = 256, ε = ½, T = 32 and no
+// jamming, drawing one of --configs distinct configs (distinguished by
+// their RNG seed field), with probability --hot-frac of drawing config
+// 0 — a skewed mix where the hot config becomes a cache hit after its
+// first computation, so the hit rate approaches the skew. Each of
+// --concurrency threads replays its slice over one persistent
+// line-protocol connection, closed loop. 429 rejections are counted and
+// retried after a backoff so the delivered request count stays fixed.
+// Every result must echo the request's trace id.
 //
-// Output: per-category latency percentiles (cache hit / computed miss /
-// coalesced), overall p50/p90/p99, cache hit rate, throughput — as a
-// human-readable block plus one machine-readable `loadgen_summary`
-// JSON line and a run manifest.
+// Output: one `loadgen_summary` JSON line with the request counts and
+// the cache hit rate. Latency is not measured here; perfbench/run.py
+// times the service.
 //
-// Exit codes: 0 ok; 1 transport/protocol failure;
-//             2 hit rate below --min-hit-rate.
+// Exit codes: 0 ok; 1 bad flag, transport/protocol failure or trace
+//             echo mismatch; 2 hit rate below --min-hit-rate.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <iostream>
-#include <mutex>
 #include <random>
-#include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "obs/manifest.hpp"
 #include "obs/span.hpp"
 #include "service/json.hpp"
 #include "service/net.hpp"
 #include "support/cli.hpp"
-#include "support/stats.hpp"
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+// The trace's sweep: the per-config seed below is the only field that
+// varies, so every config is equally expensive to compute.
+constexpr std::uint64_t kN = 256;
+constexpr double kEps = 0.5;
+constexpr std::int64_t kT = 32;
+constexpr std::uint64_t kBatch = 64;
+constexpr std::uint64_t kSeed = 1;
+// Each connection is one thread.
+constexpr std::uint64_t kMaxConcurrency = 64;
 
 struct TraceConfig {
   std::string host;
@@ -55,21 +54,14 @@ struct TraceConfig {
   std::size_t concurrency = 8;
   std::uint64_t configs = 16;
   double hot_frac = 0.9;
-  std::uint64_t n = 256;
   std::uint64_t trials = 32;
-  double eps = 0.5;
-  std::int64_t T = 32;
-  std::string adversary = "none";
   std::int64_t max_slots = 20'000;
-  std::uint64_t batch = 64;
-  std::uint64_t seed = 1;
-  double rate = 0.0;  ///< per-thread requests/s; 0 = closed loop
 };
 
 struct WorkerStats {
-  std::vector<double> hit_us;
-  std::vector<double> miss_us;
-  std::vector<double> coalesced_us;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t coalesced = 0;
   std::uint64_t rejected = 0;
   std::uint64_t errors = 0;
   /// Responses whose echoed trace id differs from the one sent (the
@@ -85,16 +77,14 @@ std::string sweep_line(const TraceConfig& trace, std::uint64_t config_index,
   params.set_object();
   params.set("protocol", "lesk");
   params.set("engine", "aggregate");
-  params.set("n", trace.n);
-  params.set("eps", trace.eps);
-  params.set("adversary", trace.adversary);
-  params.set("T", trace.T);
+  params.set("n", kN);
+  params.set("eps", kEps);
+  params.set("adversary", "none");
+  params.set("T", kT);
   params.set("trials", trace.trials);
-  // The per-config seed is the only varying field: `configs` distinct
-  // cache keys, all equally expensive to compute.
-  params.set("seed", trace.seed * 1'000'003 + config_index);
+  params.set("seed", kSeed * 1'000'003 + config_index);
   params.set("max_slots", trace.max_slots);
-  params.set("batch", trace.batch);
+  params.set("batch", kBatch);
   Json req;
   req.set_object();
   req.set("op", "sweep");
@@ -118,32 +108,22 @@ void run_worker(const TraceConfig& trace, std::uint64_t count,
     return;
   }
   jamelect::service::LineReader reader;
-  std::mt19937_64 rng(trace.seed ^ (0x9e3779b97f4a7c15ULL * (worker_index + 1)));
+  std::mt19937_64 rng(kSeed ^ (0x9e3779b97f4a7c15ULL * (worker_index + 1)));
   std::uniform_real_distribution<double> unit(0.0, 1.0);
-  const auto pace = trace.rate > 0.0
-                        ? std::chrono::duration_cast<Clock::duration>(
-                              std::chrono::duration<double>(1.0 / trace.rate))
-                        : Clock::duration::zero();
-  auto next_send = Clock::now();
 
   for (std::uint64_t i = 0; i < count; ++i) {
-    if (pace != Clock::duration::zero()) {
-      std::this_thread::sleep_until(next_send);
-      next_send += pace;
-    }
     const std::uint64_t config_index =
         (trace.configs <= 1 || unit(rng) < trace.hot_frac)
             ? 0
             : 1 + rng() % (trace.configs - 1);
-    // Deterministic per-request lineage: (seed, worker, request index)
-    // always mint the same id, so a replayed trace correlates across
+    // Deterministic per-request lineage: (worker, request index) always
+    // mint the same id, so a replayed trace correlates across
     // daemon-side dumps too.
     const jamelect::obs::TraceId trace_id = jamelect::obs::TraceId::derive(
-        trace.seed ^ (0xace1ull * (worker_index + 1)), i);
+        kSeed ^ (0xace1ull * (worker_index + 1)), i);
     const std::string line = sweep_line(trace, config_index, trace_id);
 
     for (int attempt = 0;; ++attempt) {
-      const auto t0 = Clock::now();
       if (!jamelect::service::send_all(sock.fd(), line)) {
         stats.errors += 1;
         if (stats.first_error.empty()) stats.first_error = "send failed";
@@ -211,29 +191,16 @@ void run_worker(const TraceConfig& trace, std::uint64_t count,
         }
         break;  // give up on this request; already counted as rejected
       }
-      const double us = std::chrono::duration<double, std::micro>(
-                            Clock::now() - t0)
-                            .count();
       if (cache == "hit") {
-        stats.hit_us.push_back(us);
+        stats.hits += 1;
       } else if (cache == "coalesced") {
-        stats.coalesced_us.push_back(us);
+        stats.coalesced += 1;
       } else if (!cache.empty()) {
-        stats.miss_us.push_back(us);
+        stats.misses += 1;
       }
       break;
     }
   }
-}
-
-jamelect::Summary summary_of(std::vector<double>& v) {
-  std::sort(v.begin(), v.end());
-  return jamelect::summarize(std::span<const double>(v));
-}
-
-void print_lat(const char* label, const jamelect::Summary& s) {
-  std::printf("  %-10s count=%-7zu p50=%.0fus p95=%.0fus p99=%.0fus max=%.0fus\n",
-              label, s.count, s.median, s.p95, s.p99, s.max);
 }
 
 }  // namespace
@@ -243,28 +210,26 @@ int main(int argc, char** argv) {
   const Cli cli(argc, argv);
 
   TraceConfig trace;
+  double min_hit_rate = -1.0;
+  try {
+    trace.port = static_cast<std::uint16_t>(cli.get_uint("port", 7979, 1, 65535));
+    trace.requests = cli.get_uint("requests", trace.requests);
+    trace.concurrency =
+        cli.get_uint("concurrency", trace.concurrency, 1, kMaxConcurrency);
+    trace.configs = cli.get_uint("configs", trace.configs, 1);
+    trace.hot_frac = cli.get_double("hot-frac", trace.hot_frac);
+    trace.trials = cli.get_uint("trials", trace.trials);
+    trace.max_slots = cli.get_int("max-slots", trace.max_slots);
+    min_hit_rate = cli.get_double("min-hit-rate", min_hit_rate);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "loadgen: %s\n", e.what());
+    return 1;
+  }
   trace.host = cli.get_string("host", "127.0.0.1");
-  trace.port = static_cast<std::uint16_t>(cli.get_uint("port", 7979));
-  trace.requests = cli.get_uint("requests", trace.requests);
-  trace.concurrency = cli.get_uint("concurrency", trace.concurrency);
-  trace.configs = std::max<std::uint64_t>(1, cli.get_uint("configs", trace.configs));
-  trace.hot_frac = cli.get_double("hot-frac", trace.hot_frac);
-  trace.n = cli.get_uint("n", trace.n);
-  trace.trials = cli.get_uint("trials", trace.trials);
-  trace.eps = cli.get_double("eps", trace.eps);
-  trace.T = cli.get_int("T", trace.T);
-  trace.adversary = cli.get_string("adversary", trace.adversary);
-  trace.max_slots = cli.get_int("max-slots", trace.max_slots);
-  trace.batch = cli.get_uint("batch", trace.batch);
-  trace.seed = cli.get_uint("seed", trace.seed);
-  trace.rate = cli.get_double("rate", trace.rate);
-  const double min_hit_rate = cli.get_double("min-hit-rate", -1.0);
-  if (trace.concurrency == 0) trace.concurrency = 1;
 
   std::vector<WorkerStats> stats(trace.concurrency);
   std::vector<std::thread> workers;
   workers.reserve(trace.concurrency);
-  const auto t0 = Clock::now();
   for (std::size_t w = 0; w < trace.concurrency; ++w) {
     const std::uint64_t share = trace.requests / trace.concurrency +
                                 (w < trace.requests % trace.concurrency ? 1 : 0);
@@ -272,106 +237,40 @@ int main(int argc, char** argv) {
                          std::ref(stats[w]));
   }
   for (auto& t : workers) t.join();
-  const double elapsed_s =
-      std::chrono::duration<double>(Clock::now() - t0).count();
 
   WorkerStats total;
   for (const auto& s : stats) {
-    total.hit_us.insert(total.hit_us.end(), s.hit_us.begin(), s.hit_us.end());
-    total.miss_us.insert(total.miss_us.end(), s.miss_us.begin(),
-                         s.miss_us.end());
-    total.coalesced_us.insert(total.coalesced_us.end(),
-                              s.coalesced_us.begin(), s.coalesced_us.end());
+    total.hits += s.hits;
+    total.misses += s.misses;
+    total.coalesced += s.coalesced;
     total.rejected += s.rejected;
     total.errors += s.errors;
     total.trace_mismatches += s.trace_mismatches;
     if (total.first_error.empty()) total.first_error = s.first_error;
   }
-  const std::uint64_t resolved = total.hit_us.size() + total.miss_us.size() +
-                                 total.coalesced_us.size();
+  const std::uint64_t resolved = total.hits + total.misses + total.coalesced;
   const double hit_rate =
-      resolved > 0
-          ? static_cast<double>(total.hit_us.size() + total.coalesced_us.size()) /
-                static_cast<double>(resolved)
-          : 0.0;
-
-  std::vector<double> all;
-  all.reserve(resolved);
-  all.insert(all.end(), total.hit_us.begin(), total.hit_us.end());
-  all.insert(all.end(), total.miss_us.begin(), total.miss_us.end());
-  all.insert(all.end(), total.coalesced_us.begin(), total.coalesced_us.end());
-  const Summary s_all = summary_of(all);
-  const Summary s_hit = summary_of(total.hit_us);
-  const Summary s_miss = summary_of(total.miss_us);
-  const Summary s_coal = summary_of(total.coalesced_us);
-  const double p90 =
-      all.empty() ? 0.0 : quantile_sorted(std::span<const double>(all), 0.90);
-
-  std::printf("loadgen: %llu requests in %.2fs (%.0f req/s), hit rate %.3f\n",
-              static_cast<unsigned long long>(resolved), elapsed_s,
-              elapsed_s > 0 ? static_cast<double>(resolved) / elapsed_s : 0.0,
-              hit_rate);
-  print_lat("all", s_all);
-  std::printf("  %-10s p90=%.0fus\n", "all", p90);
-  print_lat("hit", s_hit);
-  print_lat("miss", s_miss);
-  print_lat("coalesced", s_coal);
-  if (total.rejected > 0) {
-    std::printf("  rejected (429, retried): %llu\n",
-                static_cast<unsigned long long>(total.rejected));
-  }
-  if (total.errors > 0) {
-    std::printf("  ERRORS: %llu (first: %s)\n",
-                static_cast<unsigned long long>(total.errors),
-                total.first_error.c_str());
-  }
-  if (total.trace_mismatches > 0) {
-    std::printf("  TRACE MISMATCHES: %llu (first: %s)\n",
-                static_cast<unsigned long long>(total.trace_mismatches),
-                total.first_error.c_str());
-  }
+      resolved > 0 ? static_cast<double>(total.hits + total.coalesced) /
+                         static_cast<double>(resolved)
+                   : 0.0;
 
   {
     using service::Json;
     Json out;
     out.set_object();
     out.set("requests", resolved);
-    out.set("hits", static_cast<std::uint64_t>(total.hit_us.size()));
-    out.set("misses", static_cast<std::uint64_t>(total.miss_us.size()));
-    out.set("coalesced", static_cast<std::uint64_t>(total.coalesced_us.size()));
+    out.set("hits", total.hits);
+    out.set("misses", total.misses);
+    out.set("coalesced", total.coalesced);
     out.set("rejected", total.rejected);
     out.set("errors", total.errors);
     out.set("trace_mismatches", total.trace_mismatches);
     out.set("hit_rate", hit_rate);
-    out.set("elapsed_s", elapsed_s);
-    out.set("rps", elapsed_s > 0
-                       ? static_cast<double>(resolved) / elapsed_s
-                       : 0.0);
-    out.set("p50_us", s_all.median);
-    out.set("p90_us", p90);
-    out.set("p99_us", s_all.p99);
-    out.set("hit_p50_us", s_hit.median);
-    out.set("miss_p50_us", s_miss.median);
     std::printf("loadgen_summary %s\n", out.dump().c_str());
   }
-
-  obs::RunManifest manifest;
-  manifest.name = cli.get_string("manifest", "jamelect_loadgen");
-  manifest.seed = trace.seed;
-  manifest.include_metrics = false;
-  manifest.config["host"] = trace.host;
-  manifest.config["port"] = std::to_string(trace.port);
-  manifest.config["requests"] = std::to_string(trace.requests);
-  manifest.config["concurrency"] = std::to_string(trace.concurrency);
-  manifest.config["configs"] = std::to_string(trace.configs);
-  manifest.config["hot_frac"] = obs::canonical_number(trace.hot_frac);
-  manifest.config["rate"] = obs::canonical_number(trace.rate);
-  manifest.config["resolved"] = std::to_string(resolved);
-  manifest.config["hit_rate"] = obs::canonical_number(hit_rate);
-  manifest.config["p50_us"] = obs::canonical_number(s_all.median);
-  manifest.config["p99_us"] = obs::canonical_number(s_all.p99);
-  const std::string path = obs::manifest_path_for(manifest.name);
-  if (!path.empty()) (void)manifest.write_file(path);
+  if (!total.first_error.empty()) {
+    std::printf("loadgen: first error: %s\n", total.first_error.c_str());
+  }
 
   if (total.errors > 0 || total.trace_mismatches > 0) return 1;
   if (min_hit_rate >= 0.0 && hit_rate < min_hit_rate) {

@@ -26,12 +26,18 @@
 //    .ndjson` without stopping the daemon, and an abnormal drain (any
 //    failed jobs at shutdown) dumps it automatically.
 //
+// Flags are checked before anything starts: a malformed value, or one
+// outside its range (--workers in [1, 64], --port at most 65535,
+// --flight-capacity in [1, 2^20], --heartbeat-ms in [1, 3600000]),
+// exits 2 with a message.
+//
 // SIGINT/SIGTERM drain gracefully: stop admitting, fail queued jobs,
 // let running sweeps finish their current trial chunk (the Monte-Carlo
 // drivers poll the same shutdown flag), flush the run manifest, exit 0.
 #include <csignal>
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <thread>
 
 #include "obs/manifest.hpp"
@@ -46,6 +52,12 @@
 #include "support/thread_pool.hpp"
 
 namespace {
+
+// Caps on the flags that size threads and buffers, so a typo cannot
+// start thousands of workers or reserve gigabytes of flight ring.
+constexpr std::uint64_t kMaxWorkers = 64;
+constexpr std::uint64_t kMaxFlightCapacity = 1 << 20;
+constexpr std::uint64_t kMaxHeartbeatMs = 3'600'000;
 
 // SIGUSR1 => dump the flight recorder. The handler only sets a flag
 // (async-signal-safe); the main loop does the I/O.
@@ -67,25 +79,36 @@ int main(int argc, char** argv) {
   using namespace jamelect;
   const Cli cli(argc, argv);
 
+  // Numeric flags are checked before any thread starts; a bad one exits 2
+  // rather than wrapping (a port above 65535) or throwing later.
   service::ServiceConfig svc_cfg;
-  svc_cfg.workers = cli.get_uint("workers", 2);
-  svc_cfg.max_queue = cli.get_uint("queue", 64);
+  service::ServerConfig srv_cfg;
+  std::size_t flight_capacity = 0;
+  try {
+    svc_cfg.workers = cli.get_uint("workers", 2, 1, kMaxWorkers);
+    svc_cfg.max_queue = cli.get_uint("queue", 64);
+    // 0 = unbounded; with --cache-dir set, keys evicted by these bounds
+    // are still served from the disk tier.
+    svc_cfg.cache_max_entries = cli.get_uint("cache-max-entries", 0);
+    svc_cfg.cache_max_bytes = cli.get_uint("cache-max-bytes", 0);
+    svc_cfg.limits.max_trials = cli.get_uint("max-trials", 1'000'000);
+    svc_cfg.limits.max_slots =
+        cli.get_int("max-slots", svc_cfg.limits.max_slots);
+    srv_cfg.port =
+        static_cast<std::uint16_t>(cli.get_uint("port", 7979, 0, 65535));
+    srv_cfg.heartbeat_ms = static_cast<int>(cli.get_uint(
+        "heartbeat-ms", static_cast<std::uint64_t>(srv_cfg.heartbeat_ms), 1,
+        kMaxHeartbeatMs));
+    flight_capacity =
+        cli.get_uint("flight-capacity", 4096, 1, kMaxFlightCapacity);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "jamelectd: " << e.what() << "\n";
+    return 2;
+  }
   const char* env_cache = std::getenv("JAMELECT_CACHE_DIR");
   svc_cfg.cache_dir =
       cli.get_string("cache-dir", env_cache != nullptr ? env_cache : "");
-  // 0 = unbounded; with --cache-dir set, keys evicted by these bounds
-  // are still served from the disk tier.
-  svc_cfg.cache_max_entries = cli.get_uint("cache-max-entries", 0);
-  svc_cfg.cache_max_bytes = cli.get_uint("cache-max-bytes", 0);
-  svc_cfg.limits.max_trials = cli.get_uint("max-trials", 1'000'000);
-  svc_cfg.limits.max_slots =
-      cli.get_int("max-slots", svc_cfg.limits.max_slots);
-
-  service::ServerConfig srv_cfg;
   srv_cfg.host = cli.get_string("host", "127.0.0.1");
-  srv_cfg.port = static_cast<std::uint16_t>(cli.get_uint("port", 7979));
-  srv_cfg.heartbeat_ms =
-      static_cast<int>(cli.get_int("heartbeat-ms", srv_cfg.heartbeat_ms));
 
   obs::MetricsRegistry::global().set_enabled(true);
   install_shutdown_handlers();
@@ -97,7 +120,7 @@ int main(int argc, char** argv) {
   // daemon doing" story and costs one short lock per request phase.
   const std::string flight_prefix =
       cli.get_string("flight", "jamelectd-flight");
-  obs::FlightRecorder flight(cli.get_uint("flight-capacity", 4096));
+  obs::FlightRecorder flight(flight_capacity);
   svc_cfg.flight = &flight;
 
   // Chrome-trace recorder: opt-in (unbounded growth — meant for
