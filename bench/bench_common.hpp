@@ -181,16 +181,6 @@ inline int bench_main(int argc, char** argv) {
                               std::to_string(global_pool().size() + 1));
 
   obs::MetricsRegistry::global().set_enabled(true);
-  // With the profiler on (JAMELECT_OBS_PROF in an obs build), pool waits
-  // fill the `idle` and `steal_wait` phases of the manifest's profile.
-  const bool profiling =
-      obs::kObsCompiledIn && obs::PhaseProfiler::global().enabled();
-  if (profiling) {
-    // Leaked: a worker calls on_task_end after the parallel call it
-    // served has returned, so the observer must outlive every worker.
-    static auto* const pool_prof = new obs::PoolProfObserver();
-    global_pool().set_task_observer(pool_prof);
-  }
 
   std::string cmdline;
   for (int i = 0; i < argc; ++i) {
@@ -204,6 +194,12 @@ inline int bench_main(int argc, char** argv) {
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // With the profiler on (JAMELECT_OBS_PROF in an obs build), pool waits
+  // fill the `idle` and `steal_wait` phases of the manifest's profile.
+  const bool profiling =
+      obs::kObsCompiledIn && obs::PhaseProfiler::global().enabled();
+  obs::PoolProfObserver pool_prof;
+  if (profiling) global_pool().set_task_observer(&pool_prof);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   if (profiling) global_pool().set_task_observer(nullptr);

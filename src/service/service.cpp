@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "obs/trace_events.hpp"
+#include "sim/batch.hpp"
 #include "support/shutdown.hpp"
 
 namespace jamelect::service {
@@ -379,6 +380,12 @@ Json SweepService::metrics_json() const {
   for (const auto& [name, value] : snap.gauges) {
     gauges.set(name, value);
   }
+  // The memo readings are kept outside the registry too, so builds
+  // with the engine metrics compiled out still report them.
+  const MemoStats memo = memo_stats();
+  gauges.set("engine.memo.bytes", static_cast<double>(memo.peak_bytes));
+  counters.set("engine.memo.evictions",
+               static_cast<std::int64_t>(memo.evictions));
   Json histograms;
   histograms.set_object();
   for (const auto& [name, h] : snap.histograms) {

@@ -1,6 +1,7 @@
 #include "sim/batch.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -54,23 +55,46 @@ struct KernelFor<NoCdElectionParams> {
   using type = kernels::NoCdKernel;
 };
 
-/// Per-thread reusable chunk state for the multi-core orchestrator.
+/// Process-wide memo readings behind memo_stats(): the largest size one
+/// thread's memos reached, and the chunk starts that dropped them.
+std::atomic<std::uint64_t> g_memo_peak_bytes{0};
+std::atomic<std::uint64_t> g_memo_evictions{0};
+
+/// Per-thread reusable chunk state for the multi-core orchestrator:
+/// the memos every batch engine draws on.
 ///
-/// SlotProbCache entries are pure functions of (n, u) — protocol- and
-/// trial-independent — so a warm cache from one chunk answers the next
-/// chunk's lookups without redoing the exp/log chains, and reuse can
-/// never change a result. Each worker thread owns one workspace
-/// (thread_local), so chunks sharded across the ThreadPool touch no
-/// shared mutable state: bit-identity across thread counts is
-/// structural, and TSAN has nothing to watch here. A small LRU of
-/// caches keyed by n covers sweeps that interleave station counts
-/// (the hybrid engine uses n and n - 1 in one chunk).
+/// SlotProbCache entries and BinomialPlans are pure functions of
+/// (n, u) — protocol- and trial-independent — so warm memos from one
+/// chunk answer the next chunk's lookups without redoing the exp/log
+/// chains, and reuse can never change a result. Each worker thread
+/// owns one workspace (thread_local), so chunks sharded across the
+/// ThreadPool touch no shared mutable state: bit-identity across
+/// thread counts is structural, and TSAN has nothing to watch here. A
+/// small LRU of slot caches keyed by n covers sweeps that interleave
+/// station counts (the hybrid engine uses n and n - 1 in one chunk).
+///
+/// Memory: LESU's u is on no lattice, so every new estimate adds
+/// entries for good. begin_chunk() bounds that: a chunk that starts
+/// with the memos above kMemoBudgetBytes drops them all first. The
+/// cohort lanes hold plan pointers across lookups within a slot, so
+/// nothing is ever dropped mid-chunk; a chunk may overshoot the budget
+/// by what it adds itself.
 ///
 /// Counter discipline: caches outlive chunks, so the engine rollup
 /// must emit per-chunk DELTAS of the cache counters, not totals —
-/// emit_cache_counters() tracks the last-emitted watermark per cache.
+/// the emit functions track the last-emitted watermark per cache.
 class BatchWorkspace {
  public:
+  /// Opens a chunk: drops every memo when they hold more than
+  /// kMemoBudgetBytes. Call before taking any cache reference.
+  void begin_chunk() {
+    if (bytes() <= kMemoBudgetBytes) return;
+    entries_.clear();
+    plans_.clear();
+    g_memo_evictions.fetch_add(1, std::memory_order_relaxed);
+    JAMELECT_OBS_COUNT("engine.memo.evictions", 1);
+  }
+
   SlotProbCache& cache(std::uint64_t n) {
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       if (entries_[i]->cache.n() == n) {
@@ -87,6 +111,10 @@ class BatchWorkspace {
     entries_.insert(entries_.begin(), std::make_unique<Entry>(n));
     return entries_.front()->cache;
   }
+
+  /// The cohort lanes' plan cache, shared by every chunk this worker
+  /// runs (reuse across configs and n is sound for the same reason).
+  BinomialSamplerCache& plans() { return plans_; }
 
   /// Emits the SlotProbCache effectiveness rollup accrued since the
   /// previous call (hits = lookups - misses; dense_hits is the subset
@@ -119,6 +147,26 @@ class BatchWorkspace {
       e->misses_seen = misses;
       e->dense_seen = dense;
     }
+    record_peak();
+  }
+
+  /// Same for the plan cache, as engine.cohort.binom_cache_*.
+  void emit_plan_counters() {
+    const std::uint64_t lookups = plans_.lookups();
+    const std::uint64_t misses = plans_.misses();
+    const std::uint64_t dense = plans_.dense_hits();
+    JAMELECT_OBS_COUNT(
+        "engine.cohort.binom_cache_hits",
+        static_cast<std::int64_t>((lookups - plan_lookups_seen_) -
+                                  (misses - plan_misses_seen_)));
+    JAMELECT_OBS_COUNT("engine.cohort.binom_cache_misses",
+                       static_cast<std::int64_t>(misses - plan_misses_seen_));
+    JAMELECT_OBS_COUNT("engine.cohort.binom_cache_dense_hits",
+                       static_cast<std::int64_t>(dense - plan_dense_seen_));
+    plan_lookups_seen_ = lookups;
+    plan_misses_seen_ = misses;
+    plan_dense_seen_ = dense;
+    record_peak();
   }
 
  private:
@@ -130,7 +178,33 @@ class BatchWorkspace {
     std::uint64_t dense_seen = 0;
   };
   static constexpr std::size_t kMaxCaches = 8;
+
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    std::size_t total = plans_.bytes();
+    for (const auto& e : entries_) total += e->cache.bytes();
+    return total;
+  }
+
+  /// Folds this chunk's memo size into the thread's and the process's
+  /// peak (engine.memo.bytes).
+  void record_peak() {
+    const std::uint64_t now = bytes();
+    if (now <= peak_) return;
+    peak_ = now;
+    std::uint64_t seen = g_memo_peak_bytes.load(std::memory_order_relaxed);
+    while (seen < now && !g_memo_peak_bytes.compare_exchange_weak(
+                             seen, now, std::memory_order_relaxed)) {
+    }
+    JAMELECT_OBS_GAUGE("engine.memo.bytes",
+                       static_cast<double>(std::max(seen, now)));
+  }
+
   std::vector<std::unique_ptr<Entry>> entries_;
+  BinomialSamplerCache plans_;
+  std::uint64_t plan_lookups_seen_ = 0;
+  std::uint64_t plan_misses_seen_ = 0;
+  std::uint64_t plan_dense_seen_ = 0;
+  std::uint64_t peak_ = 0;  ///< this thread's largest memo size
 };
 
 [[nodiscard]] BatchWorkspace& local_batch_workspace() {
@@ -184,6 +258,7 @@ void aggregate_lanes_wide(const typename Kernel::Params& params,
   LaneAdversaryBank bank(spec, base, first, count);
   const std::uint64_t n = config.n;
   BatchWorkspace& workspace = local_batch_workspace();
+  workspace.begin_chunk();
   SlotProbCache& cache = workspace.cache(n);
   double lesk_inc = 0.0;
   if constexpr (kIsLesk) {
@@ -422,6 +497,7 @@ void hybrid_lanes_wide(const typename Kernel::Params& params,
   LaneAdversaryBank bank(spec, base, first, count);
   const std::uint64_t n = config.n;
   BatchWorkspace& workspace = local_batch_workspace();
+  workspace.begin_chunk();
   SlotProbCache& cache_n = workspace.cache(n);
   SlotProbCache& cache_nm1 = workspace.cache(n - 1);
   const Kernel fresh(params);
@@ -723,39 +799,6 @@ void hybrid_lanes_wide(const typename Kernel::Params& params,
   workspace.emit_cache_counters();
 }
 
-/// Per-thread plan cache of the cohort lanes: one BinomialSamplerCache
-/// shared by every chunk this worker runs (plans are pure functions of
-/// (n, u), so reuse across configs and n is sound), plus watermarks so
-/// each chunk emits its cache-counter deltas.
-struct CohortWorkspace {
-  BinomialSamplerCache cache;
-  std::uint64_t lookups_seen = 0;
-  std::uint64_t misses_seen = 0;
-  std::uint64_t dense_seen = 0;
-
-  void emit_cache_counters() {
-    const std::uint64_t lookups = cache.lookups();
-    const std::uint64_t misses = cache.misses();
-    const std::uint64_t dense = cache.dense_hits();
-    JAMELECT_OBS_COUNT(
-        "engine.cohort.binom_cache_hits",
-        static_cast<std::int64_t>((lookups - lookups_seen) -
-                                  (misses - misses_seen)));
-    JAMELECT_OBS_COUNT("engine.cohort.binom_cache_misses",
-                       static_cast<std::int64_t>(misses - misses_seen));
-    JAMELECT_OBS_COUNT("engine.cohort.binom_cache_dense_hits",
-                       static_cast<std::int64_t>(dense - dense_seen));
-    lookups_seen = lookups;
-    misses_seen = misses;
-    dense_seen = dense;
-  }
-};
-
-[[nodiscard]] CohortWorkspace& local_cohort_workspace() {
-  thread_local CohortWorkspace workspace;
-  return workspace;
-}
-
 /// Lane view of the wide generator, quacking like a scalar generator
 /// for binomial_plan_draw_first's remainder draws (loop coins past the
 /// first, BTPE rejection retries).
@@ -802,8 +845,9 @@ void cohort_lanes(const typename Kernel::Params& params,
   // make_adversary(spec, base.child(first + k).child(0xad50)).
   LaneAdversaryBank bank(spec, base, first, count);
 
-  CohortWorkspace& workspace = local_cohort_workspace();
-  BinomialSamplerCache& cache = workspace.cache;
+  BatchWorkspace& workspace = local_batch_workspace();
+  workspace.begin_chunk();
+  BinomialSamplerCache& cache = workspace.plans();
   if constexpr (std::is_same_v<Kernel, kernels::LeskKernel>) {
     // LESK's u moves on the {-1, +eps/8} lattice, so steady-state plan
     // lookups hit the dense index.
@@ -865,7 +909,7 @@ void cohort_lanes(const typename Kernel::Params& params,
     if (plan.regime == BinomialPlan::Regime::kBtpe) {
       // btpe_draw's first (triangle) accept test inlined on the same
       // expressions, skipping the call on the dominant path.
-      const BinomialPlan::BtpeSetup& bt = plan.btpe;
+      const BinomialPlan::BtpeSetup& bt = *plan.btpe;
       const double u = first_u[l] * bt.p4;
       if (u <= bt.p1) {
         const auto y = static_cast<std::uint64_t>(
@@ -996,10 +1040,15 @@ void cohort_lanes(const typename Kernel::Params& params,
   JAMELECT_OBS_COUNT("engine.batch.cohort_chunks", 1);
   JAMELECT_OBS_COUNT("engine.batch.slots", slots_total);
   JAMELECT_OBS_COUNT("mc.batch_wide_slots", slots_total);
-  workspace.emit_cache_counters();
+  workspace.emit_plan_counters();
 }
 
 }  // namespace
+
+MemoStats memo_stats() noexcept {
+  return MemoStats{g_memo_peak_bytes.load(std::memory_order_relaxed),
+                   g_memo_evictions.load(std::memory_order_relaxed)};
+}
 
 std::optional<BatchKernelSpec> batch_kernel_spec(
     const UniformProtocol& prototype) {

@@ -119,4 +119,19 @@ void run_batch_cohort_trials(const CohortKernelSpec& spec,
                              std::size_t first, std::size_t count,
                              TrialOutcome* out);
 
+/// Byte budget of one thread's batch memos: its SlotProbCaches and its
+/// BinomialSamplerCache. Memo entries are pure functions of (n, u), so
+/// the engines keep them warm across chunks; a chunk that starts with
+/// the thread's memos above this size first drops them all. Eviction
+/// only ever happens at a chunk start, so it never moves a result.
+inline constexpr std::size_t kMemoBudgetBytes = std::size_t{4} << 20;
+
+/// Process-wide reading of the batch memos since start-up, also
+/// exported as engine.memo.bytes and engine.memo.evictions.
+struct MemoStats {
+  std::uint64_t peak_bytes = 0;  ///< largest size one thread's memos reached
+  std::uint64_t evictions = 0;   ///< chunk starts that dropped a thread's memos
+};
+[[nodiscard]] MemoStats memo_stats() noexcept;
+
 }  // namespace jamelect

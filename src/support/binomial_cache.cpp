@@ -6,9 +6,20 @@
 
 namespace jamelect {
 
+namespace {
+
+/// Bytes one plan occupies: its struct, tables and BTPE constants.
+std::size_t plan_bytes(const BinomialPlan& plan) noexcept {
+  return sizeof(BinomialPlan) + plan.cdf.capacity() * sizeof(double) +
+         plan.guide.capacity() * sizeof(std::uint32_t) +
+         (plan.btpe ? sizeof(BinomialPlan::BtpeSetup) : 0);
+}
+
+}  // namespace
+
 BinomialPlan build_binomial_plan(std::uint64_t n, double p) {
   // Same contract — and the same dispatch ladder, expression for
-  // expression — as binomial_sample (support/binomial.cpp). Any edit
+  // expression — as binomial_sample (support/binomial.hpp). Any edit
   // there must be mirrored here or the bit-identity contract breaks
   // (pinned by BinomialPlanEquivalence in
   // tests/cohort_batch_equivalence_test.cpp).
@@ -40,26 +51,28 @@ BinomialPlan build_binomial_plan(std::uint64_t n, double p) {
   const double mean = nd * plan.p_eff;
   if (mean <= 30.0) {
     plan.regime = BinomialPlan::Regime::kInversion;
-    // Prefix sums of binomial_inversion's pmf walk: cdf[j] is the
-    // walk's running cdf after computing pmf_j, and the table stops
-    // exactly where the walk's `if (pmf <= 0.0) break;` would (or at
-    // j = n). For mean <= 30 the tail underflows after a few hundred
-    // entries, so the table stays small.
+    // Prefix sums of the inversion walk's pmf recurrence: cdf[j] is the
+    // walk's running cdf after computing pmf_j. The table stops where
+    // the cdf first stops moving (a pmf below half an ulp of it, or
+    // underflowed to 0) or at j = n. Below its last entry, lower_bound
+    // is the walk's exit verbatim: the walk cannot have bailed out
+    // earlier, as an underflow would have stalled the cdf. Above it,
+    // inversion_result runs the walk itself. At mean 30 the cdf stalls
+    // after about 90 entries, where the pmf underflows after about 450.
     const double p_eff = plan.p_eff;
     const double log_p0 = nd * std::log1p(-p_eff);
     double pmf = std::exp(log_p0);
     const double odds = p_eff / (1.0 - p_eff);
     double cdf = pmf;
     plan.cdf.push_back(cdf);
-    std::uint64_t k = 0;
-    while (k < n) {
+    for (std::uint64_t k = 0; k < n; ++k) {
       pmf *=
           (nd - static_cast<double>(k)) / (static_cast<double>(k) + 1.0) * odds;
+      if (cdf + pmf == cdf) break;
       cdf += pmf;
-      ++k;
       plan.cdf.push_back(cdf);
-      if (pmf <= 0.0) break;
     }
+    plan.cdf.shrink_to_fit();
     // Guide table: first index with cdf >= b / G per bucket b. Sized
     // ~2 entries of headroom per cdf entry (capped) so the lookup's
     // forward scan averages under one step.
@@ -77,7 +90,8 @@ BinomialPlan build_binomial_plan(std::uint64_t n, double p) {
     return plan;
   }
   plan.regime = BinomialPlan::Regime::kBtpe;
-  BinomialPlan::BtpeSetup& bt = plan.btpe;
+  auto setup = std::make_unique<BinomialPlan::BtpeSetup>();
+  BinomialPlan::BtpeSetup& bt = *setup;
   bt.nd = nd;
   bt.r = plan.p_eff;
   bt.q = 1.0 - bt.r;
@@ -109,14 +123,25 @@ BinomialPlan build_binomial_plan(std::uint64_t n, double p) {
       bt.fprod[j] = i > 0.0 ? aa / i - s : 0.0;
     }
   }
+  plan.btpe = std::move(setup);
   return plan;
 }
 
 BinomialSamplerCache::BinomialSamplerCache(std::size_t initial_capacity) {
   std::size_t cap = 8;
   while (cap < initial_capacity) cap <<= 1;
+  initial_capacity_ = cap;
   mask_ = cap - 1;
   slots_.resize(cap);
+}
+
+void BinomialSamplerCache::clear() {
+  slots_ = std::vector<Slot>(initial_capacity_);
+  mask_ = initial_capacity_ - 1;
+  size_ = 0;
+  plan_bytes_ = 0;
+  // Dense slots point at the plans just freed.
+  if (!dense_.empty()) dense_.assign(kDenseCapacity, DenseSlot{});
 }
 
 void BinomialSamplerCache::set_lattice_step(double step) {
@@ -147,6 +172,7 @@ const BinomialPlan& BinomialSamplerCache::insert_slow(std::uint64_t n,
 
   std::size_t idx = hash(n, key) & mask_;
   while (slots_[idx].key != kEmpty) idx = (idx + 1) & mask_;
+  plan_bytes_ += plan_bytes(*plan);
   slots_[idx] = Slot{key, n, std::move(plan)};
   ++size_;
   return *slots_[idx].plan;

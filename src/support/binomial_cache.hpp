@@ -5,15 +5,15 @@
 // once per cohort per slot. LESK/LESU walk u over a small lattice and
 // cohort sizes repeat massively across trials, so a Monte-Carlo sweep
 // evaluates only a handful of distinct (n, u) pairs — but the generic
-// sampler (support/binomial.cpp) recomputes its full per-regime setup
+// sampler (support/binomial.hpp) recomputes its full per-regime setup
 // on every draw: the log1p + exp + pmf-recurrence walk in the CDF
 // inversion regime, or the triangle/parallelogram geometry block in
 // BTPE. This cache hoists that setup into a BinomialPlan built once
 // per distinct pair:
 //   * kLoop       — nothing to precompute; the plan just pins the
 //                   regime and reflected probability;
-//   * kInversion  — the full CDF prefix table, so a draw is one
-//                   uniform + one lower_bound instead of the walk;
+//   * kInversion  — the CDF prefix table, so a draw is one uniform +
+//                   one lower_bound instead of the walk;
 //   * kBtpe       — the 15 setup constants, so a draw starts directly
 //                   in the rejection loop.
 //
@@ -29,13 +29,19 @@
 // generator in exactly the order binomial_sample(n, p, rng) would and
 // applies the exact same floating-point expressions, so for the same
 // uniform stream it returns the same k. The inversion table is the
-// pmf walk's own prefix sums (same recurrence, same truncation at
-// pmf underflow), making lower_bound the walk's exit condition
-// verbatim; the equivalence is pinned by BinomialPlanEquivalence in
+// pmf walk's own prefix sums (same recurrence), up to where the sum
+// saturates; lower_bound over it is the walk's exit condition
+// verbatim, and a u above every entry runs the walk itself. The
+// equivalence is pinned by BinomialPlanEquivalence in
 // tests/cohort_batch_equivalence_test.cpp.
 //
-// The cache is unsynchronized; each batch worker thread owns one
-// instance (thread_local beside the cohort lanes in sim/batch.cpp).
+// Memory: plans are sized to their regime (only BTPE plans carry the
+// BTPE constants), and bytes() reports what the cache holds so its
+// owner can bound it; clear() drops every plan. The cache is
+// unsynchronized; each batch worker thread owns one instance
+// (thread_local beside the cohort lanes in sim/batch.cpp), which
+// clears it between chunks once the thread's memos outgrow their byte
+// budget.
 #pragma once
 
 #include <algorithm>
@@ -46,6 +52,7 @@
 #include <memory>
 #include <vector>
 
+#include "support/binomial.hpp"
 #include "support/expects.hpp"
 
 namespace jamelect {
@@ -62,7 +69,7 @@ struct BinomialPlan {
     kBtpe        ///< BTPE rejection: two uniforms per attempt
   };
 
-  /// binomial_btpe's setup block — pure functions of (n, p_eff).
+  /// binomial_detail::btpe's setup block — pure functions of (n, p_eff).
   struct BtpeSetup {
     double nd = 0.0, r = 0.0, q = 0.0, nrq = 0.0, m = 0.0, p1 = 0.0,
            xm = 0.0, xl = 0.0, xr = 0.0, c = 0.0, laml = 0.0, lamr = 0.0,
@@ -81,8 +88,8 @@ struct BinomialPlan {
   double p = 0.0;      ///< the requested probability
   double p_eff = 0.0;  ///< reflect ? 1.0 - p : p; drives the dispatch
   /// kInversion only: cdf[j] = P[K <= j] by the exact pmf recurrence,
-  /// truncated where the recurrence underflows to 0 (or at j = n) —
-  /// the same stopping rule as the uncached walk.
+  /// up to where the running sum first stops moving (or j = n). A draw
+  /// whose uniform exceeds every entry runs the uncached walk instead.
   std::vector<double> cdf;
   /// kInversion only: guide table (Chen & Asau) over the cdf —
   /// guide[b] is the first index with cdf[idx] >= b / guide.size(),
@@ -91,7 +98,7 @@ struct BinomialPlan {
   /// accelerator: the found index is the same lower_bound either way.
   std::vector<std::uint32_t> guide;
   double guide_scale = 0.0;  ///< guide.size() as double
-  BtpeSetup btpe;  ///< kBtpe only
+  std::unique_ptr<const BtpeSetup> btpe;  ///< kBtpe only; null otherwise
 
   /// True when a draw consumes at least one uniform — i.e. the first
   /// uniform can be supplied by a batched wide-RNG group draw.
@@ -107,14 +114,7 @@ struct BinomialPlan {
 
 namespace binomial_plan_detail {
 
-/// Stirling-series tail of log(k!) — byte-for-byte the expression in
-/// support/binomial.cpp (the BTPE exact test depends on it).
-[[nodiscard]] inline double stirling_tail(double x, double x2) {
-  return (13860.0 - (462.0 - (132.0 - (99.0 - 140.0 / x2) / x2) / x2) / x2) /
-         x / 166320.0;
-}
-
-/// Mirrors binomial_small_n: p_eff lies strictly inside (0, 1) in the
+/// Mirrors binomial_detail::small_n: p_eff lies strictly inside (0, 1) in the
 /// kLoop regime, so bernoulli(p_eff) is exactly one uniform() < p_eff
 /// compare per coin.
 template <class RngT>
@@ -129,28 +129,38 @@ template <class RngT>
   return k;
 }
 
-/// binomial_inversion returns the smallest k with u <= cdf[k], walking
+/// One fixed uniform, to run the uncached inversion walk at a given u.
+struct FixedUniform {
+  double u;
+  [[nodiscard]] double uniform() const noexcept { return u; }
+};
+
+/// The inversion walk returns the smallest k with u <= cdf[k], walking
 /// until the pmf recurrence underflows or k reaches n. Against the
 /// precomputed prefix table that is exactly a lower_bound (first entry
-/// >= u), with the table's final index standing in for the walk's
-/// bail-out point when u exceeds every entry.
+/// >= u). A u above every entry (never when the cdf saturates at or
+/// above 1, else a few in 2^53 draws) takes the walk itself, past the
+/// table, to its bail-out point.
 [[nodiscard]] inline std::uint64_t inversion_result(const BinomialPlan& plan,
                                                     double u) {
   // Guide-table lower_bound: guide[b] <= lower_bound(u) for every u in
   // bucket b (indexes below it have cdf < b/G <= u), so the forward
   // scan finds the first entry >= u in O(1) expected steps — the same
-  // index a full binary search returns. If every entry is < u the scan
-  // stops on the last index, exactly the walk's bail-out point.
+  // index a full binary search returns.
   const double* cdf = plan.cdf.data();
   const std::size_t size = plan.cdf.size();
   std::size_t b = static_cast<std::size_t>(u * plan.guide_scale);
   if (b >= plan.guide.size()) b = plan.guide.size() - 1;  // u == 1.0 guard
   std::size_t i = plan.guide[b];
   while (i + 1 < size && cdf[i] < u) ++i;
+  if (cdf[i] < u) [[unlikely]] {
+    FixedUniform walk_u{u};
+    return binomial_detail::inversion(plan.n, plan.p_eff, walk_u);
+  }
   return static_cast<std::uint64_t>(i);
 }
 
-/// binomial_btpe's rejection loop over the cached setup constants —
+/// binomial_detail::btpe's rejection loop over the cached setup constants —
 /// expression-for-expression the uncached sampler's body, with the
 /// optional caller-supplied first uniform replacing the loop's first
 /// rng.uniform() (every later uniform comes from `rng`, preserving
@@ -160,7 +170,7 @@ template <class RngT>
                                       bool have_first, RngT& rng,
                                       double first_v = 0.0,
                                       bool have_v = false) {
-  const BinomialPlan::BtpeSetup& bt = plan.btpe;
+  const BinomialPlan::BtpeSetup& bt = *plan.btpe;
   for (;;) {
     const double u = (have_first ? first_u : rng.uniform()) * bt.p4;
     have_first = false;
@@ -230,8 +240,10 @@ template <class RngT>
     const double target =
         bt.xm * std::log(f1 / x1) + (bt.nd - bt.m + 0.5) * std::log(z / w) +
         (y - bt.m) * std::log(w * bt.r / (x1 * bt.q)) +
-        stirling_tail(f1, f1 * f1) + stirling_tail(z, z * z) +
-        stirling_tail(x1, x1 * x1) + stirling_tail(w, w * w);
+        binomial_detail::stirling_tail(f1, f1 * f1) +
+        binomial_detail::stirling_tail(z, z * z) +
+        binomial_detail::stirling_tail(x1, x1 * x1) +
+        binomial_detail::stirling_tail(w, w * w);
     if (alv <= target) return static_cast<std::uint64_t>(y);
   }
 }
@@ -307,8 +319,10 @@ class BinomialSamplerCache {
 
   /// Plan for Binomial(n, transmit_probability(u)). Requires u >= 0
   /// (transmit_probability's domain). The returned reference stays
-  /// valid for the cache's lifetime — plans are heap-allocated and
-  /// never move, so callers may hold plan pointers across lookups.
+  /// valid until the next clear() — plans are heap-allocated and never
+  /// move, so callers may hold plan pointers across lookups. The cohort
+  /// lanes hold them for a slot; their owner clears only between
+  /// chunks.
   [[nodiscard]] const BinomialPlan& plan(std::uint64_t n, double u) {
     ++lookups_;
     const std::uint64_t key = std::bit_cast<std::uint64_t>(u);
@@ -343,6 +357,16 @@ class BinomialSamplerCache {
   /// lookups stay correct via the hash path. Changing the step resets
   /// the dense index (hash entries are kept).
   void set_lattice_step(double step);
+
+  /// Drops every plan and shrinks the tables to their initial size.
+  /// Invalidates every plan reference; the counters keep counting.
+  void clear();
+
+  /// Bytes the cache holds: its hash and dense tables plus every plan.
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return slots_.capacity() * sizeof(Slot) +
+           dense_.capacity() * sizeof(DenseSlot) + plan_bytes_;
+  }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   /// Total plan() calls since construction.
@@ -405,8 +429,10 @@ class BinomialSamplerCache {
                                   std::uint64_t key);
   void grow();
 
+  std::size_t initial_capacity_;  ///< power of two; clear() returns to it
   std::size_t mask_;  ///< capacity - 1 (capacity is a power of two)
   std::size_t size_ = 0;
+  std::size_t plan_bytes_ = 0;  ///< sum of plan_bytes over held plans
   std::uint64_t lookups_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t dense_hits_ = 0;

@@ -29,8 +29,9 @@
 // doubles never alias. +0.0 and -0.0 get separate entries with equal
 // payloads, which is merely a wasted slot, never a wrong answer.
 //
-// The cache is engine-local and unsynchronized; each batch chunk owns
-// its own instance (a few dozen entries, rebuilt per chunk in O(us)).
+// The cache is unsynchronized. The batch engines keep a few per worker
+// thread (sim/batch.cpp), warm across chunks, and drop them between
+// chunks once the thread's memos outgrow their byte budget (bytes()).
 #pragma once
 
 #include <bit>
@@ -104,6 +105,11 @@ class SlotProbCache {
 
   [[nodiscard]] std::uint64_t n() const noexcept { return n_; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// Bytes the cache holds: its hash table and dense index.
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return slots_.capacity() * sizeof(Slot) +
+           dense_.capacity() * sizeof(DenseSlot);
+  }
   /// Total lookups since construction.
   [[nodiscard]] std::uint64_t lookups() const noexcept { return lookups_; }
   /// Total misses (== distinct u values inserted) since construction.

@@ -59,19 +59,23 @@ void ThreadPool::worker_loop() {
     }
     PoolTaskObserver* obs = task_observer_.load(std::memory_order_acquire);
     if (obs != nullptr && idle_ns >= 0) obs->on_worker_idle(task.slot, idle_ns);
-    if (obs != nullptr) obs->on_task_start(task.slot);
-    task.fn(*task.job, task.slot);
-    if (obs != nullptr) obs->on_task_end(task.slot);
+    run_job_slot(*task.job, task.slot, obs);
   }
 }
 
-void ThreadPool::run_job_slot(ParallelJob& job, std::size_t slot) {
+void ThreadPool::run_job_slot(ParallelJob& job, std::size_t slot,
+                              PoolTaskObserver* obs) {
+  if (obs != nullptr) obs->on_task_start(slot);
   try {
     job.run(slot);
   } catch (...) {
     std::lock_guard lock(job.error_mutex);
     if (!job.error) job.error = std::current_exception();
   }
+  // The task ends before the decrement: once pending reaches 0 the
+  // caller's parallel call may return, and the caller may then detach
+  // and destroy the observer.
+  if (obs != nullptr) obs->on_task_end(slot);
   // Decrement under the lock: the caller may destroy the job as soon as
   // it sees pending == 0, so the last touch of the job must come before
   // the caller can take the lock and look.
@@ -106,7 +110,7 @@ void ThreadPool::execute(ParallelJob& job, std::size_t count) {
 
   job.pending.store(helpers, std::memory_order_relaxed);
   for (std::size_t h = 0; h < helpers; ++h) {
-    enqueue(Task{&run_job_slot, &job, h});
+    enqueue(Task{&job, h});
   }
   // The caller takes the last slot instead of blocking idle.
   PoolTaskObserver* obs = task_observer_.load(std::memory_order_acquire);

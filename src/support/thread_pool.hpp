@@ -60,7 +60,9 @@ class ThreadPool {
 
   /// Attaches (or detaches, with nullptr) a task observer. The observer
   /// must outlive every parallel call that runs while it is attached;
-  /// attach/detach between parallel calls, not during one.
+  /// attach/detach between parallel calls, not during one. Once such a
+  /// call has returned and the observer is detached, no worker calls
+  /// it again, so it may then be destroyed.
   void set_task_observer(PoolTaskObserver* observer) noexcept {
     task_observer_.store(observer, std::memory_order_release);
   }
@@ -145,10 +147,9 @@ class ThreadPool {
     virtual void run(std::size_t slot) = 0;
   };
 
-  /// A queued unit of work: plain function pointer + context, no
-  /// allocation beyond the queue node.
+  /// A queued unit of work: one worker slot of a job, no allocation
+  /// beyond the queue node.
   struct Task {
-    void (*fn)(ParallelJob&, std::size_t) = nullptr;
     ParallelJob* job = nullptr;
     std::size_t slot = 0;
   };
@@ -157,9 +158,12 @@ class ThreadPool {
   /// calling thread, waits, and rethrows the first recorded error.
   void execute(ParallelJob& job, std::size_t count);
 
-  /// Trampoline every queued task runs: the job's chunk loop for one
-  /// worker slot, with error capture and completion signalling.
-  static void run_job_slot(ParallelJob& job, std::size_t slot);
+  /// What every queued task runs: the job's chunk loop for one worker
+  /// slot, bracketed by `obs` (may be null), with error capture and
+  /// completion signalling. The observer's last call comes before the
+  /// job's pending count drops.
+  static void run_job_slot(ParallelJob& job, std::size_t slot,
+                           PoolTaskObserver* obs);
 
   void enqueue(Task task);
   void worker_loop();

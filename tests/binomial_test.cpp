@@ -1,4 +1,4 @@
-// binomial_sample regime boundaries (support/binomial.cpp dispatch):
+// binomial_sample regime boundaries (support/binomial.hpp dispatch):
 // n = 128 is the last Bernoulli-loop size and n = 129 the first
 // inversion/BTPE size; mean = 30 is the inversion <-> BTPE crossover;
 // p > 1/2 reflects through k -> n - k. Every regime must agree with

@@ -15,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -398,9 +399,89 @@ TEST(CohortBatchEquivalence, NonKernelizablePrototypeFallsBackIdentically) {
   }
 }
 
+/// LESU rows at each n under no jamming and the collision forcer.
+[[nodiscard]] std::vector<Scenario> lesu_rows(
+    const std::vector<std::uint64_t>& ns) {
+  std::vector<Scenario> list;
+  for (const std::uint64_t n : ns) {
+    for (const char* policy : {"none", "collision_forcer"}) {
+      AdversarySpec spec;
+      spec.policy = policy;
+      list.push_back({std::string("lesu/") + policy,
+                      [] {
+                        return std::make_unique<UniformStationAdapter>(
+                            std::make_unique<Lesu>(LesuParams{}));
+                      },
+                      spec, n,
+                      EngineConfig{CdMode::kStrong, StopRule::kAllDone,
+                                   100'000}});
+    }
+  }
+  return list;
+}
+
+/// Every row's outcomes at seed 7001: sequential (batch 0) or in cohort
+/// lanes, 8 a chunk, on the calling thread — whose memos they share.
+[[nodiscard]] std::vector<McResult> run_rows(const std::vector<Scenario>& rows,
+                                             std::size_t batch) {
+  std::vector<McResult> results;
+  for (const Scenario& sc : rows) {
+    McConfig config = base_config(32, 7001, sc.engine.max_slots);
+    config.batch = batch;
+    results.push_back(
+        run_cohort_mc(sc.factory, sc.adversary, sc.n, sc.engine, config));
+  }
+  return results;
+}
+
+TEST(CohortBatchEquivalence, MemoEvictionMovesNoResult) {
+  // A thread's memos are dropped at a chunk start once they outgrow
+  // kMemoBudgetBytes. The reference rows run in lanes on a fresh
+  // thread, whose memos stay under the budget. A second thread runs
+  // LESU at a new n round after round (each n adds its own plans)
+  // until the budget has evicted, then reruns the reference rows.
+  // Every lane run must equal the sequential engine, and the rerun the
+  // unevicted run too.
+  const std::vector<Scenario> rows = lesu_rows(
+      {std::uint64_t{1} << 10, std::uint64_t{1} << 14,
+       std::uint64_t{1} << 17, std::uint64_t{1} << 20});
+  const std::vector<McResult> oracle = run_rows(rows, 0);
+
+  std::vector<McResult> unevicted;
+  const std::uint64_t evictions = memo_stats().evictions;
+  std::thread([&] { unevicted = run_rows(rows, 8); }).join();
+  ASSERT_EQ(memo_stats().evictions, evictions);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    SCOPED_TRACE(rows[i].name + " n=" + std::to_string(rows[i].n));
+    expect_all_outcomes_eq(oracle[i], unevicted[i]);
+  }
+
+  std::thread([&] {
+    for (std::uint64_t n = (1 << 20) - 1;
+         n > (1 << 19) && memo_stats().evictions == evictions; n -= 4099) {
+      const std::vector<Scenario> fill = lesu_rows({n});
+      const std::vector<McResult> seq = run_rows(fill, 0);
+      const std::vector<McResult> lanes = run_rows(fill, 8);
+      for (std::size_t i = 0; i < fill.size(); ++i) {
+        SCOPED_TRACE(fill[i].name + " n=" + std::to_string(n));
+        expect_all_outcomes_eq(seq[i], lanes[i]);
+      }
+    }
+    const std::vector<McResult> rerun = run_rows(rows, 8);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      SCOPED_TRACE(rows[i].name + " n=" + std::to_string(rows[i].n));
+      expect_all_outcomes_eq(oracle[i], rerun[i]);
+      expect_all_outcomes_eq(unevicted[i], rerun[i]);
+    }
+  }).join();
+  // Non-vacuous: the budget did evict.
+  EXPECT_GT(memo_stats().evictions, evictions);
+}
+
 // ---------------------------------------------------------------------------
 // Plan-level equivalence: the memoized sampler vs binomial_sample.
 // ---------------------------------------------------------------------------
+
 
 TEST(BinomialPlanEquivalence, PlanDrawsMatchSamplerBitForBitInEveryRegime) {
   struct Case {
@@ -434,6 +515,58 @@ TEST(BinomialPlanEquivalence, PlanDrawsMatchSamplerBitForBitInEveryRegime) {
     // Stream sync: both paths must have consumed the same uniforms.
     ASSERT_EQ(seq.uniform(), planned.uniform());
   }
+}
+
+TEST(BinomialPlanEquivalence, TrimmedInversionTableMatchesTheWalkEverywhere) {
+  // The inversion table stops where the cdf saturates; a uniform above
+  // it must still get the walk's answer, which lies past the table.
+  // Scripted uniforms hit every entry exactly and on both sides, 0, the
+  // saturated value and above, and the largest uniform below 1.
+  struct Case {
+    std::uint64_t n;
+    double p;
+  };
+  const Case cases[] = {
+      {129, 0.2},    // walk ends at k = n
+      {1000, 0.01},  // pmf underflows first
+      {1000, 0.98},  // reflected
+      {std::uint64_t{1} << 20, 30.0 / (1 << 20)},  // mean 30
+      {std::uint64_t{1} << 20, 0.5 / (1 << 20)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::to_string(c.n) + " " + std::to_string(c.p));
+    const BinomialPlan plan = build_binomial_plan(c.n, c.p);
+    ASSERT_EQ(plan.regime, BinomialPlan::Regime::kInversion);
+    const double saturated = plan.cdf.back();
+    std::vector<double> us{0.0, saturated, std::nextafter(saturated, 2.0),
+                           std::nextafter(1.0, 0.0)};
+    for (const double v : plan.cdf) {
+      us.push_back(v);
+      us.push_back(std::nextafter(v, 0.0));
+      us.push_back(std::nextafter(v, 2.0));
+    }
+    for (const double u : us) {
+      // An inversion draw takes exactly one uniform.
+      binomial_plan_detail::FixedUniform scripted{u};
+      const std::uint64_t k = binomial_sample(c.n, c.p, scripted);
+      ASSERT_EQ(k, binomial_plan_draw(plan, scripted)) << "u=" << u;
+      if (u > saturated && c.p <= 0.5) {
+        // Past the table: the walk went on beyond its last entry.
+        EXPECT_GE(k, plan.cdf.size()) << "u=" << u;
+      }
+    }
+  }
+  // Above the saturated cdf the walk at n = 129 never underflows: it
+  // stops at k = n.
+  const BinomialPlan small = build_binomial_plan(129, 0.2);
+  binomial_plan_detail::FixedUniform above{
+      std::nextafter(small.cdf.back(), 2.0)};
+  EXPECT_EQ(binomial_plan_draw(small, above), 129u);
+  // Mean 30 at n = 2^20: the pmf underflows some 450 entries out, but
+  // the cdf saturates within 128.
+  EXPECT_LE(build_binomial_plan(std::uint64_t{1} << 20, 30.0 / (1 << 20))
+                .cdf.size(),
+            128u);
 }
 
 TEST(BinomialPlanEquivalence, CacheDrawsMatchSamplerOnExponentLattice) {

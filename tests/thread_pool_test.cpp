@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
@@ -83,6 +84,29 @@ TEST(ThreadPool, BackToBackJobsNeverTouchAFinishedJob) {
     });
   }
   EXPECT_EQ(total.load(), 80000u);
+}
+
+TEST(ThreadPool, ObserverMayDieWhenParallelForReturns) {
+  // A worker's last call into the observer must come before the
+  // parallel call can return: the caller then detaches and deletes it.
+  // The address sanitizer (CI's ASAN job) sees a late on_task_end as a
+  // heap use after free; unsanitized, a task still open when the call
+  // returns shows in the count.
+  struct CountingObserver final : PoolTaskObserver {
+    std::atomic<std::int64_t> open{0};
+    void on_task_start(std::size_t) noexcept override { ++open; }
+    void on_task_end(std::size_t) noexcept override { --open; }
+  };
+  ThreadPool pool(3);
+  for (int round = 0; round < 2000; ++round) {
+    auto* observer = new CountingObserver();
+    pool.set_task_observer(observer);
+    pool.parallel_for(8, [](std::size_t) {});
+    pool.set_task_observer(nullptr);
+    const std::int64_t open = observer->open.load();
+    delete observer;
+    ASSERT_EQ(open, 0) << "round " << round;
+  }
 }
 
 TEST(ThreadPool, SizeReflectsConstruction) {

@@ -47,6 +47,7 @@
 #include "obs/trace_events.hpp"
 #include "service/server.hpp"
 #include "service/service.hpp"
+#include "sim/batch.hpp"
 #include "support/cli.hpp"
 #include "support/shutdown.hpp"
 #include "support/thread_pool.hpp"
@@ -219,6 +220,11 @@ int main(int argc, char** argv) {
   manifest.config["timing_serialize_us"] =
       std::to_string(totals.serialize_us);
   manifest.config["timing_respond_us"] = std::to_string(totals.respond_us);
+  // Batch-engine memos: the largest per-thread size and the budget's
+  // evictions (engine.memo.bytes / engine.memo.evictions).
+  const MemoStats memo = memo_stats();
+  manifest.config["memo_bytes"] = std::to_string(memo.peak_bytes);
+  manifest.config["memo_evictions"] = std::to_string(memo.evictions);
   manifest.config["flight_pushed"] = std::to_string(flight.ring().pushed());
   manifest.config["flight_overwritten"] =
       std::to_string(flight.ring().overwritten());
