@@ -8,12 +8,12 @@
 //
 // Produces three artifacts:
 //   * events.ndjson — structured slot/phase/trial events, followed by
-//     span records (flight-recorder dump of the replay), one flight
-//     summary line, and one per-request timing envelope — all kinds
-//     validate with scripts/validate_events.py against
+//     the span store's NDJSON dump (span records of the replay and one
+//     flight summary line) and one per-request timing envelope — all
+//     kinds validate with scripts/validate_events.py against
 //     docs/event_schema.json;
-//   * trace.json    — Chrome trace-event spans, open in
-//     https://ui.perfetto.dev;
+//   * trace.json    — the same span store as Chrome trace-event JSON,
+//     open in https://ui.perfetto.dev;
 //   * <manifest>.manifest.json — config + seed + build + metric rollup.
 //
 // CI runs this binary and validates the NDJSON stream against the
@@ -27,7 +27,6 @@
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
 #include "obs/span.hpp"
-#include "obs/trace_events.hpp"
 #include "protocols/lesk.hpp"
 #include "sim/montecarlo.hpp"
 #include "support/cli.hpp"
@@ -65,33 +64,31 @@ int main(int argc, char** argv) {
   }
   obs::NdjsonSink sink(events_out);
   obs::RunObserver observer(sink, {sample});
-  obs::TraceEventRecorder recorder;
 
   // Derive the demo's trace id the same way a traced client would: from
   // the run seed and the trial index. Everything recorded under the
   // ScopedTrace below carries it, so the span records in the events
   // stream reassemble into one lineage.
   const obs::TraceId demo_trace = obs::TraceId::derive(seed, trial);
-  obs::FlightRecorder flight(64);
+  obs::SpanStore spans(64);
 
   TrialOutcome out;
   std::int64_t replay_us = 0;
   {
     const obs::ScopedTrace scoped(demo_trace);
-    const std::int64_t t0 = flight.now_us();
-    const auto span = recorder.span("replay_trial");
+    const std::int64_t t0 = spans.now_us();
     out = replay_aggregate_trial([eps] { return std::make_unique<Lesk>(eps); },
                                  spec, n, config, trial, &observer);
-    replay_us = flight.now_us() - t0;
-    flight.record("replay_trial", "compute", t0, replay_us);
+    replay_us = spans.now_us() - t0;
+    spans.record("replay_trial", "compute", t0, replay_us);
   }
   sink.flush();
 
   // Append the observability record kinds to the same stream: span +
-  // flight-summary lines from the recorder, then one per-request timing
+  // flight-summary lines from the store, then one per-request timing
   // envelope shaped exactly like the service's response field. CI
   // validates this file, so the demo exercises every schema branch.
-  flight.write_ndjson(events_out);
+  spans.write_ndjson(events_out);
   events_out << "{\"ev\":\"timing\",\"trace\":\"" << demo_trace.hex()
              << "\",\"admission_us\":0,\"cache_probe_us\":0,\"queue_us\":0,"
              << "\"compute_us\":" << replay_us << ",\"serialize_us\":0}\n";
@@ -102,7 +99,7 @@ int main(int argc, char** argv) {
             << " transmissions=" << out.transmissions << "\n"
             << "events  -> " << events_path << "\n";
 
-  if (!recorder.write_file(trace_path)) {
+  if (!spans.write_chrome_file(trace_path)) {
     std::cerr << "cannot write " << trace_path << "\n";
     return 1;
   }

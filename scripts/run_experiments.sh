@@ -62,7 +62,6 @@ max_share = float(sys.argv[2]) if len(sys.argv) > 2 and sys.argv[2] else None
 totals = {"mc.batch_fallbacks": 0,
           "mc.batch_fallback.protocol": 0,
           "mc.batch_fallback.observer": 0,
-          "mc.batch_fallback.adversary": 0,
           "mc.batch_fallback.cohort": 0,
           "mc.batch_wide_slots": 0,
           "mc.batch_scalar_slots": 0,
@@ -73,7 +72,13 @@ totals = {"mc.batch_fallbacks": 0,
           "engine.station.lockstep_exits": 0,
           "binom.regime.loop": 0,
           "binom.regime.inversion": 0,
-          "binom.regime.btpe": 0}
+          "binom.regime.btpe": 0,
+          "engine.memo.evictions": 0}
+# Per-thread memo budget (kMemoBudgetBytes, src/sim/batch.hpp): the
+# largest engine.memo.bytes gauge across manifests is the sweep's
+# headroom under it. Report only.
+MEMO_BUDGET_BYTES = 4 << 20
+memo_peak, memo_peak_name = 0, ""
 manifests = sorted(glob.glob(os.path.join(out_dir, "*.manifest.json")))
 for path in manifests:
     try:
@@ -85,6 +90,10 @@ for path in manifests:
     counters = doc.get("metrics", {}).get("counters", {})
     for key in totals:
         totals[key] += int(counters.get(key, 0))
+    gauges = doc.get("metrics", {}).get("gauges", {})
+    memo = int(gauges.get("engine.memo.bytes", 0))
+    if memo > memo_peak:
+        memo_peak, memo_peak_name = memo, os.path.basename(path)
 
 wide = totals["mc.batch_wide_slots"]
 scalar = totals["mc.batch_scalar_slots"]
@@ -98,7 +107,6 @@ print(f"== batch kernel rollup ({len(manifests)} manifests)")
 print(f"   mc.batch_fallbacks            {fallbacks}")
 print(f"     .protocol                   {totals['mc.batch_fallback.protocol']}")
 print(f"     .observer                   {totals['mc.batch_fallback.observer']}")
-print(f"     .adversary                  {totals['mc.batch_fallback.adversary']}")
 print(f"     .cohort                     {totals['mc.batch_fallback.cohort']}")
 print(f"   batched chunks                {chunks}")
 print(f"   mc.batch_wide_slots           {wide}")
@@ -112,6 +120,9 @@ if regimes:
     print(f"   binom.regime.loop             {totals['binom.regime.loop']}")
     print(f"   binom.regime.inversion        {totals['binom.regime.inversion']}")
     print(f"   binom.regime.btpe             {totals['binom.regime.btpe']}")
+print(f"   engine.memo.evictions         {totals['engine.memo.evictions']}")
+print(f"   engine.memo.bytes (max)       {memo_peak} of {MEMO_BUDGET_BYTES} "
+      f"({memo_peak / MEMO_BUDGET_BYTES:.0%}, {memo_peak_name or 'none'})")
 # Fallback share: whole runs that dropped to the sequential path vs
 # chunks that actually ran batched. Denominator of 0 means the sweep
 # never engaged the batch engine at all — nothing to gate on.

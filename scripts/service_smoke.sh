@@ -8,7 +8,11 @@
 #   2. replay a mixed loadgen trace (hot-config skew), asserting the
 #      cache actually hits;
 #   3. repeat the trace against the warm disk cache after a restart;
-#   4. SIGTERM the daemon mid-sweep and assert it drains and exits 0.
+#   4. SIGTERM the daemon mid-sweep and assert it drains and exits 0;
+#   5. run a traced daemon (--trace, --flight-capacity): a SIGUSR1 dump
+#      passes scripts/validate_events.py, and the Chrome trace written at
+#      SIGTERM parses and ties one request's trace id to its svc.*,
+#      mc.batch and pool_task spans.
 set -eu
 
 BUILD_DIR="${1:-build}"
@@ -28,9 +32,10 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# Extra flags ("$@") go to the daemon.
 start_daemon() {
   "$DAEMON" --port=0 --workers=4 --cache-dir="$WORK/cache" \
-    --flight="$WORK/flight" > "$LOG" 2>&1 &
+    --flight="$WORK/flight" "$@" > "$LOG" 2>&1 &
   DPID=$!
   # The listening line carries the ephemeral port; wait for it.
   for _ in $(seq 1 50); do
@@ -78,5 +83,44 @@ grep -q "draining" "$LOG" || { cat "$LOG"; echo "no drain message"; exit 1; }
 [ -f "$WORK/jamelectd.manifest.json" ] || {
   echo "daemon manifest not flushed on shutdown"; exit 1; }
 DPID=""
+
+echo "== traced daemon: SIGUSR1 dump and Chrome trace share one store"
+# A fresh cache directory, so every config computes and records its
+# MC chunk and pool task spans; the store holds the whole run.
+rm -rf "$WORK/cache"
+start_daemon --trace="$WORK/trace.json" --flight-capacity=16384
+"$LOADGEN" --port="$PORT" --requests=200 --concurrency=4 --configs=8 \
+  --hot-frac=0.5 --trials=256 --max-slots=20000
+kill -USR1 "$DPID"
+DUMP=""
+for _ in $(seq 1 50); do
+  DUMP=$(sed -n 's/.*SIGUSR1 flight dump \(.*\.ndjson\).*/\1/p' "$LOG")
+  [ -n "$DUMP" ] && break
+  sleep 0.1
+done
+[ -n "$DUMP" ] && [ -f "$DUMP" ] || {
+  cat "$LOG"; echo "no SIGUSR1 dump"; exit 1; }
+python3 "$(dirname "$0")/validate_events.py" "$DUMP"
+kill -TERM "$DPID"
+RC=0; wait "$DPID" || RC=$?
+DPID=""
+[ "$RC" -eq 0 ] || { cat "$LOG"; echo "traced daemon exited $RC"; exit 1; }
+python3 - "$WORK/trace.json" <<'PYEOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+print("trace:", len(doc["traceEvents"]), "spans,", doc["otherData"])
+assert doc["otherData"]["overwritten"] == 0, doc["otherData"]
+names = {}
+for ev in doc["traceEvents"]:
+    trace = ev.get("args", {}).get("trace")
+    if trace:
+        names.setdefault(trace, set()).add(ev["name"])
+whole = [t for t, n in names.items()
+         if "mc.batch" in n and "pool_task" in n
+         and {"svc.compute", "svc.queue_wait"} <= n]
+assert whole, f"no trace id spans svc.*, mc.batch and pool_task: {names}"
+print(f"{len(whole)} of {len(names)} trace ids reach svc.*, mc.batch "
+      "and pool_task spans")
+PYEOF
 
 echo "service smoke OK"

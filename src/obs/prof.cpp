@@ -3,7 +3,7 @@
 #include <cstdlib>
 #include <utility>
 
-#include "obs/trace_events.hpp"
+#include "obs/span.hpp"
 
 namespace jamelect::obs {
 
@@ -110,12 +110,22 @@ void PhaseProfiler::reset() noexcept {
   }
 }
 
-void PoolProfObserver::on_task_start(std::size_t worker_slot) noexcept {
-  if (recorder_ != nullptr) recorder_->on_task_start(worker_slot);
+namespace {
+
+/// Start of the pool task running on this thread; pool tasks never nest
+/// on one thread, so one slot suffices.
+thread_local std::int64_t t_task_start_us = 0;
+
+}  // namespace
+
+void PoolProfObserver::on_task_start(std::size_t /*worker_slot*/) noexcept {
+  if (spans_ != nullptr) t_task_start_us = spans_->now_us();
 }
 
-void PoolProfObserver::on_task_end(std::size_t worker_slot) noexcept {
-  if (recorder_ != nullptr) recorder_->on_task_end(worker_slot);
+void PoolProfObserver::on_task_end(std::size_t /*worker_slot*/) noexcept {
+  if (spans_ == nullptr) return;
+  spans_->record("pool_task", "", t_task_start_us,
+                 spans_->now_us() - t_task_start_us);
 }
 
 void PoolProfObserver::on_worker_idle(std::size_t /*worker_slot*/,

@@ -36,7 +36,7 @@
 
 namespace jamelect::obs {
 
-class TraceEventRecorder;
+class SpanStore;
 
 /// Closed phase vocabulary. Engine phases attribute slot-processing
 /// time; service phases attribute request lifetime. `classify` on the
@@ -250,15 +250,15 @@ class ProfScope {
   std::int64_t start_ = 0;
 };
 
-/// Pool observer that feeds scheduling phases into the global profiler
+/// The pool observer: feeds scheduling phases into the global profiler
 /// (worker cv waits → `idle`, the caller's completion-barrier wait →
-/// `steal_wait`) and optionally forwards task start/end to a
-/// TraceEventRecorder so one attachment yields both the profile and
-/// the pool_task spans in the Chrome trace.
+/// `steal_wait`) and, given a span store, records each dispatched task
+/// as a `pool_task` span, so one attachment yields both the profile and
+/// the pool spans.
 class PoolProfObserver final : public PoolTaskObserver {
  public:
-  explicit PoolProfObserver(TraceEventRecorder* recorder = nullptr) noexcept
-      : recorder_(recorder) {}
+  explicit PoolProfObserver(SpanStore* spans = nullptr) noexcept
+      : spans_(spans) {}
 
   void on_task_start(std::size_t worker_slot) noexcept override;
   void on_task_end(std::size_t worker_slot) noexcept override;
@@ -267,7 +267,7 @@ class PoolProfObserver final : public PoolTaskObserver {
   void on_caller_wait(std::int64_t wait_ns) noexcept override;
 
  private:
-  TraceEventRecorder* recorder_;
+  SpanStore* spans_;
 };
 
 }  // namespace jamelect::obs

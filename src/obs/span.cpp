@@ -73,67 +73,21 @@ ScopedTrace::ScopedTrace(TraceId id) noexcept : prev_(t_current_trace) {
 
 ScopedTrace::~ScopedTrace() { t_current_trace = prev_; }
 
-SpanRing::SpanRing(std::size_t capacity) : capacity_(capacity) {
+SpanStore::SpanStore(std::size_t capacity)
+    : capacity_(capacity), epoch_(Clock::now()) {
   JAMELECT_EXPECTS(capacity > 0);
   ring_.reserve(capacity);
 }
 
-void SpanRing::push(const SpanRecord& rec) {
-  std::lock_guard lock(mutex_);
-  ++pushed_;
-  if (ring_.size() < capacity_) {
-    ring_.push_back(rec);
-    return;
-  }
-  // Full: overwrite the oldest. head_ chases the logical start.
-  ring_[head_] = rec;
-  head_ = (head_ + 1) % capacity_;
-}
-
-std::vector<SpanRecord> SpanRing::snapshot() const {
-  std::lock_guard lock(mutex_);
-  std::vector<SpanRecord> out;
-  out.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
-  return out;
-}
-
-std::size_t SpanRing::size() const {
-  std::lock_guard lock(mutex_);
-  return ring_.size();
-}
-
-std::uint64_t SpanRing::pushed() const {
-  std::lock_guard lock(mutex_);
-  return pushed_;
-}
-
-std::uint64_t SpanRing::overwritten() const {
-  std::lock_guard lock(mutex_);
-  return pushed_ - ring_.size();
-}
-
-void SpanRing::clear() {
-  std::lock_guard lock(mutex_);
-  ring_.clear();
-  head_ = 0;
-  pushed_ = 0;
-}
-
-FlightRecorder::FlightRecorder(std::size_t capacity)
-    : ring_(capacity), epoch_(Clock::now()) {}
-
-std::int64_t FlightRecorder::now_us() const noexcept {
+std::int64_t SpanStore::now_us() const noexcept {
   return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                                epoch_)
       .count();
 }
 
-void FlightRecorder::record(const char* name, const char* phase,
-                            std::int64_t ts_us, std::int64_t dur_us,
-                            TraceId trace) {
+void SpanStore::record(const char* name, const char* phase,
+                       std::int64_t ts_us, std::int64_t dur_us,
+                       TraceId trace) noexcept {
   static std::atomic<std::uint32_t> next_tid{1};
   thread_local const std::uint32_t tid =
       next_tid.fetch_add(1, std::memory_order_relaxed);
@@ -144,7 +98,52 @@ void FlightRecorder::record(const char* name, const char* phase,
   rec.ts_us = ts_us;
   rec.dur_us = dur_us;
   rec.trace = trace.valid() ? trace : current_trace();
-  ring_.push(rec);
+  std::lock_guard lock(mutex_);
+  ++pushed_;
+  if (ring_.size() < capacity_) {
+    ring_.push_back(rec);  // within the reserved capacity: no allocation
+    return;
+  }
+  // Full: overwrite the oldest. head_ chases the logical start.
+  ring_[head_] = rec;
+  head_ = (head_ + 1) % capacity_;
+}
+
+SpanStore::Held SpanStore::held() const {
+  std::lock_guard lock(mutex_);
+  Held out;
+  out.records.reserve(ring_.size());
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    out.records.push_back(ring_[(head_ + i) % ring_.size()]);
+  }
+  out.pushed = pushed_;
+  return out;
+}
+
+std::vector<SpanRecord> SpanStore::snapshot() const {
+  return held().records;
+}
+
+std::size_t SpanStore::size() const {
+  std::lock_guard lock(mutex_);
+  return ring_.size();
+}
+
+std::uint64_t SpanStore::pushed() const {
+  std::lock_guard lock(mutex_);
+  return pushed_;
+}
+
+std::uint64_t SpanStore::overwritten() const {
+  std::lock_guard lock(mutex_);
+  return pushed_ - ring_.size();
+}
+
+void SpanStore::clear() {
+  std::lock_guard lock(mutex_);
+  ring_.clear();
+  head_ = 0;
+  pushed_ = 0;
 }
 
 void append_span_json(std::string& out, const SpanRecord& rec) {
@@ -170,20 +169,21 @@ void append_span_json(std::string& out, const SpanRecord& rec) {
   out += '}';
 }
 
-void FlightRecorder::write_ndjson(std::ostream& out) const {
+void SpanStore::write_ndjson(std::ostream& out) const {
+  const Held h = held();
   std::string line;
-  for (const SpanRecord& rec : ring_.snapshot()) {
+  for (const SpanRecord& rec : h.records) {
     line.clear();
     append_span_json(line, rec);
     line += '\n';
     out << line;
   }
-  out << "{\"ev\":\"flight\",\"pushed\":" << ring_.pushed()
-      << ",\"overwritten\":" << ring_.overwritten()
-      << ",\"capacity\":" << ring_.capacity() << "}\n";
+  out << "{\"ev\":\"flight\",\"pushed\":" << h.pushed
+      << ",\"overwritten\":" << h.pushed - h.records.size()
+      << ",\"capacity\":" << capacity_ << "}\n";
 }
 
-std::string FlightRecorder::dump(const std::string& prefix) const {
+std::string SpanStore::dump(const std::string& prefix) const {
   // Timestamp + process-lifetime sequence number: SIGUSR1 can fire
   // twice in one second and must not clobber the first dump.
   static std::atomic<std::uint32_t> seq{0};
@@ -203,6 +203,41 @@ std::string FlightRecorder::dump(const std::string& prefix) const {
   write_ndjson(out);
   if (!out.good()) return "";
   return path;
+}
+
+void SpanStore::write_chrome_json(std::ostream& out) const {
+  const Held h = held();
+  out << "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"pushed\":"
+      << h.pushed << ",\"overwritten\":" << h.pushed - h.records.size()
+      << ",\"capacity\":" << capacity_ << "},\"traceEvents\":[";
+  bool first = true;
+  for (const SpanRecord& r : h.records) {
+    if (!first) out << ',';
+    first = false;
+    out << "{\"name\":\"" << r.name
+        << "\",\"ph\":\"X\",\"cat\":\"jamelect\",\"pid\":1,\"tid\":" << r.tid
+        << ",\"ts\":" << r.ts_us << ",\"dur\":" << r.dur_us;
+    // Request lineage and phase tag ride in args, each only when set.
+    const bool traced = r.trace.valid();
+    const bool phased = r.phase[0] != '\0';
+    if (traced || phased) {
+      out << ",\"args\":{";
+      if (traced) {
+        out << "\"trace\":\"" << r.trace.hex() << (phased ? "\"," : "\"");
+      }
+      if (phased) out << "\"phase\":\"" << r.phase << '"';
+      out << '}';
+    }
+    out << '}';
+  }
+  out << "]}\n";
+}
+
+bool SpanStore::write_chrome_file(const std::string& path) const {
+  std::ofstream out(path);
+  if (!out) return false;
+  write_chrome_json(out);
+  return out.good();
 }
 
 }  // namespace jamelect::obs

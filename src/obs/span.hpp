@@ -1,4 +1,4 @@
-// Trace ids, span records, and the bounded span ring.
+// Trace ids, span records, and the one bounded span store.
 //
 // A TraceId is a 128-bit request-scoped identifier minted at the edge
 // (jamelect_loadgen, or any client that puts a "trace" field in the
@@ -6,13 +6,17 @@
 // SweepService job → sweep_runner → McConfig → thread-pool chunk
 // tasks. Every span recorded while a ScopedTrace is active on the
 // current thread is tagged with it, so one request reassembles into
-// one coherent Chrome-trace tree and one flight-recorder lineage.
+// one coherent trace tree.
 //
-// SpanRing is the bounded ring buffer behind the jamelectd flight
-// recorder: pushes are O(1) under a short lock, the oldest record is
-// overwritten when full, and `overwritten()` counts the loss so dumps
-// are honest about truncation. Span names/phases are string literals
-// (stored, not copied) — same contract as TraceEventRecorder.
+// SpanStore is where every span goes: a fixed-capacity ring on a
+// steady-clock epoch. A record is O(1) under a short lock and
+// overwrites the oldest span once the ring is full; `overwritten()`
+// counts the loss. It has two writers over the same held records: the
+// NDJSON dump (`span` lines plus one `flight` summary, validated by
+// docs/event_schema.json) and the Chrome trace-event JSON that
+// https://ui.perfetto.dev opens, which carries the same counts so a
+// truncated trace says so. Span names/phases are string literals
+// (stored, not copied).
 #pragma once
 
 #include <chrono>
@@ -52,8 +56,7 @@ struct TraceId {
 [[nodiscard]] TraceId current_trace() noexcept;
 
 /// Sets the calling thread's active trace id for a scope; restores the
-/// previous one on destruction. Spans recorded by TraceEventRecorder
-/// and FlightRecorder while active inherit it.
+/// previous one on destruction. Spans recorded while active inherit it.
 class ScopedTrace {
  public:
   explicit ScopedTrace(TraceId id) noexcept;
@@ -66,82 +69,81 @@ class ScopedTrace {
 };
 
 /// One completed interval. `name` and `phase` must be string literals
-/// (or otherwise outlive the ring).
+/// (or otherwise outlive the store).
 struct SpanRecord {
   const char* name = "";
   const char* phase = "";  ///< phase tag ("" when not phase-attributed)
   std::uint32_t tid = 0;
-  std::int64_t ts_us = 0;  ///< start, microseconds since ring epoch
+  std::int64_t ts_us = 0;  ///< start, microseconds since store epoch
   std::int64_t dur_us = 0;
   TraceId trace{};
 };
 
-/// Fixed-capacity ring of recent spans. Push overwrites the oldest
-/// record once full. Thread-safe (short mutex per push).
-class SpanRing {
+/// Fixed-capacity span ring with both writers. Thread-safe: a record
+/// takes one short lock and never allocates.
+class SpanStore {
  public:
-  explicit SpanRing(std::size_t capacity);
+  explicit SpanStore(std::size_t capacity = 4096);
 
-  void push(const SpanRecord& rec);
+  /// Microseconds since the store's epoch (steady clock).
+  [[nodiscard]] std::int64_t now_us() const noexcept;
+
+  /// Records a completed interval, overwriting the oldest record once
+  /// full. An invalid `trace` falls back to the calling thread's
+  /// current_trace(); `phase` may be null.
+  void record(const char* name, const char* phase, std::int64_t ts_us,
+              std::int64_t dur_us, TraceId trace = {}) noexcept;
 
   /// Records currently held, oldest first.
   [[nodiscard]] std::vector<SpanRecord> snapshot() const;
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t size() const;
-  /// Total pushes since construction/clear (>= size()).
+  /// Total records since construction/clear (>= size()).
   [[nodiscard]] std::uint64_t pushed() const;
-  /// Records lost to overwrite (== pushed() - size() once wrapped).
+  /// Records lost to overwrite (== pushed() - size()).
   [[nodiscard]] std::uint64_t overwritten() const;
 
   void clear();
 
- private:
-  const std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::vector<SpanRecord> ring_;
-  std::size_t head_ = 0;  ///< next write slot once the ring is full
-  std::uint64_t pushed_ = 0;
-};
-
-/// Flight recorder: a SpanRing with a steady-clock epoch and NDJSON
-/// dump helpers. jamelectd keeps one and dumps it on SIGUSR1 and on
-/// abnormal drain; examples reuse write_ndjson for schema-validated
-/// telemetry streams.
-class FlightRecorder {
- public:
-  explicit FlightRecorder(std::size_t capacity = 4096);
-
-  /// Microseconds since the recorder's epoch (steady clock).
-  [[nodiscard]] std::int64_t now_us() const noexcept;
-
-  /// Records a completed interval. Trace defaults to the thread's
-  /// current_trace() when `trace` is invalid.
-  void record(const char* name, const char* phase, std::int64_t ts_us,
-              std::int64_t dur_us, TraceId trace = {});
-
-  [[nodiscard]] const SpanRing& ring() const noexcept { return ring_; }
-
   /// One `{"ev":"span",...}` NDJSON line per held record (oldest
   /// first), then one `{"ev":"flight",...}` summary line with
-  /// pushed/overwritten counts.
+  /// pushed/overwritten/capacity.
   void write_ndjson(std::ostream& out) const;
 
   /// Writes write_ndjson() to `<prefix>-<utc timestamp>-<seq>.ndjson`.
   /// Returns the path, or "" on I/O failure.
   [[nodiscard]] std::string dump(const std::string& prefix) const;
 
+  /// {"displayTimeUnit":"ms","otherData":{pushed,overwritten,capacity},
+  ///  "traceEvents":[...]}: one complete ("X") event per held record,
+  /// with the trace id and phase (when set) in its args.
+  void write_chrome_json(std::ostream& out) const;
+  /// write_chrome_json to a file; returns false on I/O failure.
+  bool write_chrome_file(const std::string& path) const;
+
  private:
   using Clock = std::chrono::steady_clock;
 
-  SpanRing ring_;
-  Clock::time_point epoch_;
+  /// Held records (oldest first) and the push count, read under one
+  /// lock so both writers report a consistent view.
+  struct Held {
+    std::vector<SpanRecord> records;
+    std::uint64_t pushed = 0;
+  };
+  [[nodiscard]] Held held() const;
+
+  const std::size_t capacity_;
+  const Clock::time_point epoch_;
+  mutable std::mutex mutex_;
+  std::vector<SpanRecord> ring_;
+  std::size_t head_ = 0;  ///< next write slot once the ring is full
+  std::uint64_t pushed_ = 0;
 };
 
 /// Serializes one span as an NDJSON object (no trailing newline):
 /// {"ev":"span","name":...,"phase":...,"tid":...,"ts_us":...,
 ///  "dur_us":...,"trace":"<32 hex>"} — `phase`/`trace` omitted when
-/// empty/invalid. Shared by FlightRecorder and examples.
+/// empty/invalid.
 void append_span_json(std::string& out, const SpanRecord& rec);
 
 }  // namespace jamelect::obs

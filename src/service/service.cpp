@@ -3,7 +3,6 @@
 #include <exception>
 #include <utility>
 
-#include "obs/trace_events.hpp"
 #include "sim/batch.hpp"
 #include "support/shutdown.hpp"
 
@@ -78,16 +77,12 @@ void SweepService::emit_phase(const char* span_name, obs::Phase phase,
                               std::int64_t dur_us, obs::TraceId trace) {
   if (dur_us < 0) dur_us = 0;
   obs::prof_add(phase, dur_us * 1000);
-  // "Ends now" stamping: each sink stamps the interval against its own
-  // epoch at the moment the phase ends, so no cross-epoch conversion.
-  if (config_.recorder != nullptr) {
-    const std::int64_t end = config_.recorder->now_us();
-    config_.recorder->record_at(span_name, end - dur_us, dur_us, trace);
-  }
-  if (config_.flight != nullptr) {
-    const std::int64_t end = config_.flight->now_us();
-    config_.flight->record(span_name, obs::phase_name(phase), end - dur_us,
-                           dur_us, trace);
+  // "Ends now" stamping: the interval is stamped against the store's
+  // epoch at the moment the phase ends.
+  if (config_.spans != nullptr) {
+    const std::int64_t end = config_.spans->now_us();
+    config_.spans->record(span_name, obs::phase_name(phase), end - dur_us,
+                          dur_us, trace);
   }
 }
 
@@ -258,15 +253,17 @@ void SweepService::worker_loop() {
     const obs::ScopedTrace scoped(job->trace);
 
     // Second chance: another process may have populated the disk tier
-    // while this job sat in the queue.
+    // while this job sat in the queue. This job's phase times stay local
+    // until the lock is retaken: wait() snapshots the job under it.
     std::string result;
     std::string error;
     bool ok = false;
+    RequestTiming timing;
     const std::int64_t probe0 = now_us();
     auto cached = cache_.lookup(job->key);
     {
       const std::int64_t probe_us = now_us() - probe0;
-      job->timing.cache_probe_us += probe_us;
+      timing.cache_probe_us = probe_us;
       tot_cache_probe_us_.fetch_add(probe_us, std::memory_order_relaxed);
       emit_phase("svc.cache_probe", obs::Phase::kCacheProbe, probe_us,
                  job->trace);
@@ -275,12 +272,11 @@ void SweepService::worker_loop() {
       result = std::move(*cached);
       ok = true;
     } else {
-      RunnerConfig runner = config_.runner;
-      if (runner.recorder == nullptr) runner.recorder = config_.recorder;
       const std::int64_t compute0 = now_us();
       try {
-        const McResult mc = run_sweep(job->request, runner, job->trace);
-        job->timing.compute_us = now_us() - compute0;
+        const McResult mc =
+            run_sweep(job->request, config_.runner, job->trace);
+        timing.compute_us = now_us() - compute0;
         if (mc.interrupted) {
           error = "interrupted by shutdown after " +
                   std::to_string(mc.trials) + " trials";
@@ -288,22 +284,21 @@ void SweepService::worker_loop() {
           const std::int64_t ser0 = now_us();
           result = mc_result_to_json(mc).dump();
           cache_.store(job->key, job->request.to_json().dump(), result);
-          job->timing.serialize_us = now_us() - ser0;
+          timing.serialize_us = now_us() - ser0;
           ok = true;
         }
       } catch (const std::exception& e) {
-        job->timing.compute_us = now_us() - compute0;
+        timing.compute_us = now_us() - compute0;
         error = e.what();
       }
-      tot_compute_us_.fetch_add(job->timing.compute_us,
-                                std::memory_order_relaxed);
-      emit_phase("svc.compute", obs::Phase::kCompute, job->timing.compute_us,
+      tot_compute_us_.fetch_add(timing.compute_us, std::memory_order_relaxed);
+      emit_phase("svc.compute", obs::Phase::kCompute, timing.compute_us,
                  job->trace);
-      if (job->timing.serialize_us > 0) {
-        tot_serialize_us_.fetch_add(job->timing.serialize_us,
+      if (timing.serialize_us > 0) {
+        tot_serialize_us_.fetch_add(timing.serialize_us,
                                     std::memory_order_relaxed);
         emit_phase("svc.serialize", obs::Phase::kSerialize,
-                   job->timing.serialize_us, job->trace);
+                   timing.serialize_us, job->trace);
       }
       if (ok) {
         computed_.fetch_add(1, std::memory_order_relaxed);
@@ -313,6 +308,9 @@ void SweepService::worker_loop() {
     }
 
     lock.lock();
+    job->timing.cache_probe_us += timing.cache_probe_us;
+    job->timing.compute_us = timing.compute_us;
+    job->timing.serialize_us = timing.serialize_us;
     job->result_json = std::move(result);
     job->error = std::move(error);
     finish_job(job, ok ? JobState::kDone : JobState::kFailed);

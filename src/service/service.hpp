@@ -46,11 +46,6 @@
 #include "service/sweep_request.hpp"
 #include "service/sweep_runner.hpp"
 
-namespace jamelect::obs {
-class TraceEventRecorder;
-class FlightRecorder;
-}  // namespace jamelect::obs
-
 namespace jamelect::service {
 
 struct ServiceConfig {
@@ -70,15 +65,12 @@ struct ServiceConfig {
   std::size_t max_job_history = 4096;
   SweepLimits limits;
   RunnerConfig runner;
-  /// Optional Chrome-trace recorder: request phases (admission,
-  /// queue_wait, compute, serialize, respond) are recorded as spans
-  /// tagged with the request's trace id, and threaded through
-  /// RunnerConfig into the MC engines so per-worker chunk spans land
-  /// in the same tree. Must outlive the service.
-  obs::TraceEventRecorder* recorder = nullptr;
-  /// Optional flight recorder: the same request-phase spans go into
-  /// the bounded ring for post-hoc SIGUSR1 / abnormal-drain dumps.
-  obs::FlightRecorder* flight = nullptr;
+  /// Optional span store (obs/span.hpp): request phases (admission,
+  /// cache_probe, queue_wait, compute, serialize, respond) are recorded
+  /// as spans tagged with the request's trace id. MC chunk spans join
+  /// them only when `runner.spans` points at a store too. Must outlive
+  /// the service.
+  obs::SpanStore* spans = nullptr;
 };
 
 /// Per-request wall-clock breakdown (steady-clock microseconds),
@@ -181,7 +173,7 @@ class SweepService {
   [[nodiscard]] std::int64_t now_us() const;
 
   /// Transport callback after the response bytes for a request went
-  /// out: records the `respond` phase (profiler + recorder + flight)
+  /// out: records the `respond` phase (profiler + span store)
   /// and rolls it into the timing totals.
   void note_respond(obs::TraceId trace, std::int64_t dur_us);
 
@@ -219,7 +211,7 @@ class SweepService {
 
   void worker_loop();
   /// Records one finished request phase: profiler time, plus a span in
-  /// the recorder and flight ring (both stamped "ends now").
+  /// the span store stamped "ends now".
   void emit_phase(const char* span_name, obs::Phase phase,
                   std::int64_t dur_us, obs::TraceId trace);
   [[nodiscard]] JobStatus snapshot(const Job& job) const;

@@ -76,7 +76,7 @@ McResult run_sweep(const SweepRequest& request, const RunnerConfig& runner,
   mc.parallel = runner.mc_parallel;
   mc.batch = request.batch;
   mc.keep_outcomes = false;
-  mc.recorder = runner.recorder;
+  mc.spans = runner.spans;
   mc.trace = trace;
 
   if (request.engine == "aggregate") {

@@ -17,10 +17,6 @@
 #include "service/sweep_request.hpp"
 #include "sim/montecarlo.hpp"
 
-namespace jamelect::obs {
-class TraceEventRecorder;
-}  // namespace jamelect::obs
-
 namespace jamelect::service {
 
 /// Knobs the service (not the request) owns.
@@ -28,9 +24,9 @@ struct RunnerConfig {
   /// Fan trials out on the global ThreadPool. Multiple service workers
   /// may issue parallel runs concurrently; the pool interleaves them.
   bool mc_parallel = true;
-  /// Optional Chrome-trace recorder handed down to the MC drivers
-  /// (per-trial / per-chunk spans). Must outlive every run.
-  obs::TraceEventRecorder* recorder = nullptr;
+  /// Optional span store handed down to the MC drivers (one span per
+  /// chunk or sequential trial). Must outlive every run.
+  obs::SpanStore* spans = nullptr;
 };
 
 /// Runs the sweep to completion (or cooperative-shutdown drain; check

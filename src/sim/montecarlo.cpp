@@ -1,13 +1,9 @@
 #include "sim/montecarlo.hpp"
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <cstdio>
+#include <algorithm>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <thread>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <variant>
@@ -15,12 +11,10 @@
 
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
-#include "obs/trace_events.hpp"
 #include "protocols/uniform_station.hpp"
 #include "sim/aggregate.hpp"
 #include "sim/batch.hpp"
 #include "sim/cohort.hpp"
-#include "sim/mc_accumulate.hpp"
 #include "sim/station_batch.hpp"
 #include "support/expects.hpp"
 #include "support/shutdown.hpp"
@@ -30,93 +24,51 @@ namespace jamelect {
 
 namespace {
 
-/// Background progress reporter for long Monte-Carlo runs. Counters are
-/// fed from trial threads with relaxed atomics; the reporter thread
-/// wakes every interval and prints a one-line status to stderr. On
-/// stop() it prints one deterministic completion line (the in-flight
-/// lines depend on wall-clock timing, the final one does not), so tests
-/// can assert on output without racing the clock.
-class Heartbeat {
- public:
-  Heartbeat(bool enabled, std::size_t total_trials, std::int64_t interval_ms)
-      : enabled_(enabled), total_(total_trials) {
-    if (!enabled_) return;
-    start_ = std::chrono::steady_clock::now();
-    thread_ = std::thread([this, interval_ms] { loop(interval_ms); });
-  }
+// Streaming accumulation. Slots and jams are integers, so their
+// multisets compress into value -> count maps; every field merges
+// order-independently (counter addition, map addition, multiset union —
+// energy is sorted inside summarize()), which keeps results independent
+// of thread scheduling.
 
-  Heartbeat(const Heartbeat&) = delete;
-  Heartbeat& operator=(const Heartbeat&) = delete;
-
-  ~Heartbeat() { stop(); }
-
-  void on_trial(std::int64_t slots) noexcept {
-    if (!enabled_) return;
-    slots_.fetch_add(slots, std::memory_order_relaxed);
-    trials_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  void stop() {
-    if (!enabled_ || stopped_) return;
-    stopped_ = true;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      done_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-    std::fprintf(stderr, "[mc] %llu/%llu trials complete\n",
-                 static_cast<unsigned long long>(
-                     trials_.load(std::memory_order_relaxed)),
-                 static_cast<unsigned long long>(total_));
-    std::fflush(stderr);
-  }
-
- private:
-  void loop(std::int64_t interval_ms) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-      cv_.wait_for(lock, std::chrono::milliseconds(interval_ms));
-      if (done_) return;
-      const auto trials = trials_.load(std::memory_order_relaxed);
-      const auto slots = slots_.load(std::memory_order_relaxed);
-      const double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start_)
-              .count();
-      const double rate =
-          elapsed > 0.0 ? static_cast<double>(slots) / elapsed : 0.0;
-      const double eta =
-          trials > 0 ? elapsed / static_cast<double>(trials) *
-                           static_cast<double>(total_ - trials)
-                     : -1.0;
-      if (eta >= 0.0) {
-        std::fprintf(stderr, "[mc] %llu/%llu trials, %.3g slots/s, eta %.1fs\n",
-                     static_cast<unsigned long long>(trials),
-                     static_cast<unsigned long long>(total_), rate, eta);
-      } else {
-        std::fprintf(stderr, "[mc] %llu/%llu trials\n",
-                     static_cast<unsigned long long>(trials),
-                     static_cast<unsigned long long>(total_));
-      }
-    }
-  }
-
-  const bool enabled_;
-  const std::size_t total_;
-  std::atomic<std::uint64_t> trials_{0};
-  std::atomic<std::int64_t> slots_{0};
-  std::chrono::steady_clock::time_point start_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool done_ = false;
-  bool stopped_ = false;
-  std::thread thread_;
+/// Per-worker accumulator for the streaming (keep_outcomes == false)
+/// path.
+struct TrialAccumulator {
+  std::size_t successes = 0;
+  std::unordered_map<std::int64_t, std::uint64_t> slots;
+  std::unordered_map<std::int64_t, std::uint64_t> slots_ok;
+  std::unordered_map<std::int64_t, std::uint64_t> jams;
+  std::vector<double> energy;
 };
 
-// The TrialAccumulator machinery (streaming accumulation, order-
-// independent merge) lives in sim/mc_accumulate.hpp, shared with the
-// batched driver below.
+void accumulate(TrialAccumulator& acc, const TrialOutcome& o,
+                std::uint64_t n_for_energy) {
+  if (o.elected) {
+    ++acc.successes;
+    ++acc.slots_ok[o.slots];
+  }
+  ++acc.slots[o.slots];
+  ++acc.jams[o.jams];
+  acc.energy.push_back(o.transmissions / static_cast<double>(n_for_energy));
+}
+
+void merge_into(TrialAccumulator& into, TrialAccumulator&& from) {
+  into.successes += from.successes;
+  for (const auto& [v, c] : from.slots) into.slots[v] += c;
+  for (const auto& [v, c] : from.slots_ok) into.slots_ok[v] += c;
+  for (const auto& [v, c] : from.jams) into.jams[v] += c;
+  into.energy.insert(into.energy.end(), from.energy.begin(),
+                     from.energy.end());
+}
+
+[[nodiscard]] std::vector<std::pair<double, std::uint64_t>>
+to_value_counts(const std::unordered_map<std::int64_t, std::uint64_t>& counts) {
+  std::vector<std::pair<double, std::uint64_t>> pairs;
+  pairs.reserve(counts.size());
+  for (const auto& [v, c] : counts) {
+    pairs.emplace_back(static_cast<double>(v), c);
+  }
+  return pairs;
+}
 
 /// The pool a run fans out on: an explicit McConfig::pool wins, else
 /// the process-wide default. Pure routing — per-trial results are
@@ -158,7 +110,7 @@ McResult result_from_outcomes(std::vector<TrialOutcome>&& outcomes,
 /// accumulator holds one energy sample per completed trial, so its size
 /// IS the completed-trial count (== trials unless a shutdown drained
 /// the run early).
-McResult result_from_accumulator(const detail::TrialAccumulator& total,
+McResult result_from_accumulator(const TrialAccumulator& total,
                                  std::size_t trials) {
   McResult res;
   res.trials = total.energy.size();
@@ -166,65 +118,37 @@ McResult result_from_accumulator(const detail::TrialAccumulator& total,
   if (res.trials == 0) return res;
   res.successes = total.successes;
   res.success = wilson_interval(res.successes, res.trials);
-  res.slots = summarize_weighted(detail::to_value_counts(total.slots));
+  res.slots = summarize_weighted(to_value_counts(total.slots));
   if (!total.slots_ok.empty()) {
     res.slots_on_success =
-        summarize_weighted(detail::to_value_counts(total.slots_ok));
+        summarize_weighted(to_value_counts(total.slots_ok));
   }
-  res.jams = summarize_weighted(detail::to_value_counts(total.jams));
+  res.jams = summarize_weighted(to_value_counts(total.jams));
   res.energy_per_station = summarize(std::span<const double>(total.energy));
   return res;
 }
 
-/// Legacy materializing path: every TrialOutcome is kept and the
-/// summaries are computed from the full vectors.
-McResult run_trials_materialized(const TrialRunner& runner,
-                                 std::uint64_t n_for_energy,
-                                 const McConfig& config) {
-  std::vector<TrialOutcome> outcomes(config.trials);
-  // Written once per index by its own iteration, read only after the
-  // parallel_for joins — no synchronization needed beyond the join.
-  std::vector<std::uint8_t> ran(config.trials, 0);
-  const Rng base(config.seed);
-  const auto body = [&](std::size_t k) {
-    if (shutdown_requested()) return;  // drain: stop starting new trials
-    outcomes[k] = runner(base.child(k));
-    ran[k] = 1;
-  };
-  if (config.parallel) {
-    pool_for(config).parallel_for(config.trials, body);
-  } else {
-    for (std::size_t k = 0; k < config.trials; ++k) body(k);
-  }
-  std::size_t kept = 0;
-  for (std::size_t k = 0; k < config.trials; ++k) {
-    if (ran[k] != 0) outcomes[kept++] = std::move(outcomes[k]);
-  }
-  const bool interrupted = kept < config.trials;
-  outcomes.resize(kept);
-  McResult res = result_from_outcomes(std::move(outcomes), n_for_energy);
-  res.interrupted = interrupted;
-  return res;
-}
+/// Runs trials [first, first + count) of a sweep, writing outcome
+/// first + i to out[i].
+using ChunkRunner = std::function<void(std::size_t first, std::size_t count,
+                                       TrialOutcome* out)>;
 
-/// Runs trials [first, first + count) of a batched sweep, writing
-/// outcome first + i to out[i].
-using BatchChunkRunner = std::function<void(
-    std::size_t first, std::size_t count, TrialOutcome* out)>;
-
-/// Batched counterpart of run_trials: trials are partitioned into
-/// chunks of McConfig::batch, each chunk advanced in SoA lockstep by
-/// `chunk_runner` (sim/batch.hpp). Chunks are the parallel work items;
-/// telemetry (heartbeat, spans, metrics) wraps each chunk without
-/// touching any trial randomness. Trial k's outcome is bit-identical
-/// to the sequential path's regardless of the chunk partition.
-McResult run_trials_batched(const BatchChunkRunner& chunk_runner,
-                            std::uint64_t n_for_energy,
-                            const McConfig& config) {
+/// The one Monte-Carlo driver. Trials are partitioned into chunks of
+/// `chunk`, each advanced by `chunk_runner` (a batched engine's SoA
+/// lockstep chunk, or one sequential trial); chunks are the parallel
+/// work items and the unit of shutdown drain. Telemetry (one `span_name`
+/// span per chunk, the request's trace id, mc.* counters) wraps each
+/// chunk without touching any trial randomness, so trial k's outcome
+/// depends only on (seed, k), never on the partition or the pool.
+McResult run_chunks(const ChunkRunner& chunk_runner, std::size_t chunk,
+                    const char* span_name, std::uint64_t n_for_energy,
+                    const McConfig& config) {
   JAMELECT_EXPECTS(config.trials >= 1);
-  JAMELECT_EXPECTS(config.batch >= 1);
-  const std::size_t chunk = config.batch;
+  JAMELECT_EXPECTS(chunk >= 1);
   const std::size_t num_chunks = (config.trials + chunk - 1) / chunk;
+  const auto chunk_trials = [&](std::size_t c) {
+    return std::min(chunk, config.trials - c * chunk);
+  };
 
   // Orchestration telemetry: how wide this sweep actually fanned out
   // (pool workers + the participating caller) and how many chunks ran.
@@ -234,30 +158,27 @@ McResult run_trials_batched(const BatchChunkRunner& chunk_runner,
       config.parallel ? static_cast<double>(pool_for(config).size() + 1)
                       : 1.0);
 
-  Heartbeat heartbeat(config.heartbeat, config.trials,
-                      config.heartbeat_interval_ms);
-  obs::TraceEventRecorder* const recorder = config.recorder;
+  obs::SpanStore* const spans = config.spans;
   /// Runs chunk c (or skips it wholesale when a shutdown is draining
   /// the sweep); returns the number of trials completed — chunks are
   /// all-or-nothing, so partial results never truncate a trial mid-run.
   const auto run_chunk = [&](std::size_t c, TrialOutcome* out) -> std::size_t {
     if (shutdown_requested()) return 0;
-    const std::size_t first = c * chunk;
-    const std::size_t count = std::min(chunk, config.trials - first);
+    const std::size_t count = chunk_trials(c);
     // Chunks execute on pool worker threads: re-establish the request
-    // lineage here so mc.batch / pool_task spans and profiler samples
-    // from every worker carry the submitting request's trace id.
+    // lineage here so chunk / pool_task spans and profiler samples from
+    // every worker carry the submitting request's trace id.
     const obs::ScopedTrace scoped(config.trace);
-    std::optional<obs::TraceEventRecorder::Span> span;
-    if (recorder != nullptr) span.emplace(*recorder, "mc.batch");
-    chunk_runner(first, count, out);
-    span.reset();
+    const std::int64_t t0 = spans != nullptr ? spans->now_us() : 0;
+    chunk_runner(c * chunk, count, out);
+    if (spans != nullptr) {
+      spans->record(span_name, "", t0, spans->now_us() - t0);
+    }
     JAMELECT_OBS_COUNT("mc.parallel_chunks", 1);
     obs::prof_count(obs::ProfCounter::kChunks, 1);
     obs::prof_count(obs::ProfCounter::kTrials,
                     static_cast<std::int64_t>(count));
     for (std::size_t i = 0; i < count; ++i) {
-      heartbeat.on_trial(out[i].slots);
       JAMELECT_OBS_COUNT("mc.trials", 1);
       JAMELECT_OBS_COUNT("mc.slots", out[i].slots);
       obs::prof_count(obs::ProfCounter::kSlots, out[i].slots);
@@ -267,6 +188,8 @@ McResult run_trials_batched(const BatchChunkRunner& chunk_runner,
 
   if (config.keep_outcomes) {
     std::vector<TrialOutcome> outcomes(config.trials);
+    // Written once per chunk by its own iteration, read only after the
+    // parallel_for joins — no synchronization beyond the join.
     std::vector<std::uint8_t> ran(num_chunks, 0);
     const auto body = [&](std::size_t c) {
       ran[c] = run_chunk(c, outcomes.data() + c * chunk) > 0 ? 1 : 0;
@@ -276,14 +199,11 @@ McResult run_trials_batched(const BatchChunkRunner& chunk_runner,
     } else {
       for (std::size_t c = 0; c < num_chunks; ++c) body(c);
     }
-    heartbeat.stop();
     std::size_t kept = 0;
     for (std::size_t c = 0; c < num_chunks; ++c) {
       if (ran[c] == 0) continue;
-      const std::size_t first = c * chunk;
-      const std::size_t count = std::min(chunk, config.trials - first);
-      for (std::size_t i = 0; i < count; ++i) {
-        outcomes[kept++] = std::move(outcomes[first + i]);
+      for (std::size_t i = 0; i < chunk_trials(c); ++i) {
+        outcomes[kept++] = std::move(outcomes[c * chunk + i]);
       }
     }
     const bool interrupted = kept < config.trials;
@@ -293,27 +213,34 @@ McResult run_trials_batched(const BatchChunkRunner& chunk_runner,
     return res;
   }
 
-  const auto body = [&](detail::TrialAccumulator& acc, std::size_t c) {
-    const std::size_t first = c * chunk;
-    const std::size_t count = std::min(chunk, config.trials - first);
-    std::vector<TrialOutcome> buf(count);
-    if (run_chunk(c, buf.data()) == 0) return;
+  // Streaming path: chunks fold into per-worker accumulators and never
+  // exist all at once. Each worker reuses one chunk buffer, so a chunk
+  // costs no allocation.
+  struct Partial {
+    TrialAccumulator acc;
+    std::vector<TrialOutcome> buf;
+  };
+  const auto body = [&](Partial& part, std::size_t c) {
+    part.buf.assign(chunk_trials(c), TrialOutcome{});
+    if (run_chunk(c, part.buf.data()) == 0) return;
     obs::PhaseAccumulator prof;
     prof.start();
-    for (const TrialOutcome& o : buf) {
-      detail::accumulate(acc, o, n_for_energy);
+    for (const TrialOutcome& o : part.buf) {
+      accumulate(part.acc, o, n_for_energy);
     }
     prof.stop(obs::Phase::kMerge);
   };
-  detail::TrialAccumulator total;
+  const auto merge = [](Partial& into, Partial&& from) {
+    merge_into(into.acc, std::move(from.acc));
+  };
+  Partial total;
   if (config.parallel) {
-    total = pool_for(config).parallel_reduce(
-        num_chunks, detail::TrialAccumulator{}, body, detail::merge_into);
+    total = pool_for(config).parallel_reduce(num_chunks, Partial{}, body,
+                                             merge);
   } else {
     for (std::size_t c = 0; c < num_chunks; ++c) body(total, c);
   }
-  heartbeat.stop();
-  return result_from_accumulator(total, config.trials);
+  return result_from_accumulator(total.acc, config.trials);
 }
 
 /// Probes `factory` for the batched path: the protocol must have a POD
@@ -376,9 +303,6 @@ std::optional<CohortKernelSpec> probe_cohort_lanes(
 ///               started, or the factory is nondeterministic;
 ///   .observer — a telemetry observer needs the virtual path's hooks
 ///               (station engine only);
-///   .adversary — kept registered as a tombstone: every built-in
-///               policy has a batch lane engine, so this stays 0 unless
-///               an out-of-tree build re-adds a disqualifying policy;
 ///   .cohort   — a run_cohort_mc sweep the cohort lanes do not run
 ///               (probe_cohort_lanes): weak CD, an observer, or a
 ///               prototype that is not a pristine UniformStationAdapter
@@ -388,7 +312,6 @@ void register_batch_counters() {
   JAMELECT_OBS_COUNT("mc.batch_fallbacks", 0);
   JAMELECT_OBS_COUNT("mc.batch_fallback.protocol", 0);
   JAMELECT_OBS_COUNT("mc.batch_fallback.observer", 0);
-  JAMELECT_OBS_COUNT("mc.batch_fallback.adversary", 0);
   JAMELECT_OBS_COUNT("mc.batch_fallback.cohort", 0);
   JAMELECT_OBS_COUNT("mc.batch_wide_slots", 0);
   JAMELECT_OBS_COUNT("mc.batch_scalar_slots", 0);
@@ -401,7 +324,7 @@ void register_batch_counters() {
 /// name) because JAMELECT_OBS_COUNT caches its counter id statically
 /// per call site — a runtime name would collapse every reason into
 /// whichever string reached the shared site first.
-enum class BatchFallbackReason { kProtocol, kObserver, kAdversary, kCohort };
+enum class BatchFallbackReason { kProtocol, kObserver, kCohort };
 
 void count_batch_fallback(BatchFallbackReason reason) {
   JAMELECT_OBS_COUNT("mc.batch_fallbacks", 1);
@@ -411,9 +334,6 @@ void count_batch_fallback(BatchFallbackReason reason) {
       break;
     case BatchFallbackReason::kObserver:
       JAMELECT_OBS_COUNT("mc.batch_fallback.observer", 1);
-      break;
-    case BatchFallbackReason::kAdversary:
-      JAMELECT_OBS_COUNT("mc.batch_fallback.adversary", 1);
       break;
     case BatchFallbackReason::kCohort:
       JAMELECT_OBS_COUNT("mc.batch_fallback.cohort", 1);
@@ -425,52 +345,16 @@ void count_batch_fallback(BatchFallbackReason reason) {
 
 McResult run_trials(const TrialRunner& runner, std::uint64_t n_for_energy,
                     const McConfig& config) {
-  JAMELECT_EXPECTS(config.trials >= 1);
   JAMELECT_EXPECTS(n_for_energy >= 1);
-
-  // Telemetry wrapper: spans, heartbeat counters, and trial metrics ride
-  // around the runner without touching its randomness (the trial rng is
-  // handed through untouched, so outcomes are identical with or without
-  // any of them attached).
-  Heartbeat heartbeat(config.heartbeat, config.trials,
-                      config.heartbeat_interval_ms);
-  obs::TraceEventRecorder* const recorder = config.recorder;
-  const TrialRunner wrapped = [&runner, &heartbeat, recorder,
-                               trace = config.trace](Rng trial_rng) {
-    const obs::ScopedTrace scoped(trace);
-    std::optional<obs::TraceEventRecorder::Span> span;
-    if (recorder != nullptr) span.emplace(*recorder, "mc.trial");
-    TrialOutcome out = runner(trial_rng);
-    span.reset();
-    heartbeat.on_trial(out.slots);
-    JAMELECT_OBS_COUNT("mc.trials", 1);
-    JAMELECT_OBS_COUNT("mc.slots", out.slots);
-    return out;
-  };
-
-  if (config.keep_outcomes) {
-    McResult res = run_trials_materialized(wrapped, n_for_energy, config);
-    heartbeat.stop();
-    return res;
-  }
-
-  // Streaming path: trials fold into per-thread accumulators and never
-  // exist all at once. Reproducibility is unchanged — trial k still
-  // derives from mix64(seed, k) regardless of which thread runs it.
+  // The trial rng is handed through untouched, so outcomes are the same
+  // whatever telemetry the driver wraps around each one-trial chunk.
   const Rng base(config.seed);
-  const auto body = [&](detail::TrialAccumulator& acc, std::size_t k) {
-    if (shutdown_requested()) return;  // drain: stop starting new trials
-    detail::accumulate(acc, wrapped(base.child(k)), n_for_energy);
+  const ChunkRunner one_trial = [&runner, base](std::size_t first,
+                                                std::size_t /*count*/,
+                                                TrialOutcome* out) {
+    *out = runner(base.child(first));
   };
-  detail::TrialAccumulator total;
-  if (config.parallel) {
-    total = pool_for(config).parallel_reduce(
-        config.trials, detail::TrialAccumulator{}, body, detail::merge_into);
-  } else {
-    for (std::size_t k = 0; k < config.trials; ++k) body(total, k);
-  }
-  heartbeat.stop();
-  return result_from_accumulator(total, config.trials);
+  return run_chunks(one_trial, 1, "mc.trial", n_for_energy, config);
 }
 
 McResult run_aggregate_mc(const UniformProtocolFactory& factory,
@@ -482,13 +366,13 @@ McResult run_aggregate_mc(const UniformProtocolFactory& factory,
     register_batch_counters();
     if (const auto kernel = probe_batch_factory(factory)) {
       const Rng base(config.seed);
-      const BatchChunkRunner chunk =
+      const ChunkRunner chunk =
           [kernel = *kernel, spec, n, max_slots = config.max_slots,
            base](std::size_t first, std::size_t count, TrialOutcome* out) {
             run_batch_aggregate_trials(kernel, spec, {n, max_slots}, base,
                                        first, count, out);
           };
-      return run_trials_batched(chunk, n, config);
+      return run_chunks(chunk, config.batch, "mc.batch", n, config);
     }
     count_batch_fallback(BatchFallbackReason::kProtocol);
   }
@@ -511,13 +395,13 @@ McResult run_hybrid_mc(const UniformProtocolFactory& factory,
     register_batch_counters();
     if (const auto kernel = probe_batch_factory(factory)) {
       const Rng base(config.seed);
-      const BatchChunkRunner chunk =
+      const ChunkRunner chunk =
           [kernel = *kernel, spec, n, max_slots = config.max_slots,
            base](std::size_t first, std::size_t count, TrialOutcome* out) {
             run_batch_hybrid_trials(kernel, spec, {n, max_slots}, base, first,
                                     count, out);
           };
-      return run_trials_batched(chunk, n, config);
+      return run_chunks(chunk, config.batch, "mc.batch", n, config);
     }
     count_batch_fallback(BatchFallbackReason::kProtocol);
   }
@@ -542,14 +426,14 @@ McResult run_station_mc(
     if (engine.observer != nullptr) {
       count_batch_fallback(BatchFallbackReason::kObserver);
     } else if (const auto kernel = station_batch_spec(station_factory, n)) {
-      const BatchChunkRunner chunk =
+      const ChunkRunner chunk =
           [kernel = *kernel, spec, engine,
            base = Rng(config.seed)](std::size_t first, std::size_t count,
                                     TrialOutcome* out) {
             run_batch_station_trials(kernel, spec, engine, base, first, count,
                                      out);
           };
-      return run_trials_batched(chunk, n, config);
+      return run_chunks(chunk, config.batch, "mc.batch", n, config);
     } else {
       count_batch_fallback(BatchFallbackReason::kProtocol);
     }
@@ -576,14 +460,14 @@ McResult run_cohort_mc(
   if (config.batch > 0) {
     register_batch_counters();
     if (const auto kernel = probe_cohort_lanes(prototype_factory, engine)) {
-      const BatchChunkRunner chunk =
+      const ChunkRunner chunk =
           [kernel = *kernel, spec, n, max_slots = engine.max_slots,
            base = Rng(config.seed)](std::size_t first, std::size_t count,
                                     TrialOutcome* out) {
             run_batch_cohort_trials(kernel, spec, {n, max_slots}, base, first,
                                     count, out);
           };
-      return run_trials_batched(chunk, n, config);
+      return run_chunks(chunk, config.batch, "mc.batch", n, config);
     }
     count_batch_fallback(BatchFallbackReason::kCohort);
   }

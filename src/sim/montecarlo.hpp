@@ -23,10 +23,6 @@ namespace jamelect {
 
 class ThreadPool;
 
-namespace obs {
-class TraceEventRecorder;
-}  // namespace obs
-
 struct McConfig {
   std::size_t trials = 100;
   std::uint64_t seed = 1;
@@ -61,16 +57,11 @@ struct McConfig {
   /// per thread, so million-trial sweeps don't hold a TrialOutcome per
   /// trial in memory. Summaries are identical either way.
   bool keep_outcomes = false;
-  /// Print progress lines ("[mc] done/total trials, slots/s, eta") to
-  /// stderr every `heartbeat_interval_ms` while trials are in flight,
-  /// plus one deterministic completion line. Purely observational: the
-  /// reproducibility contract (results depend only on seed and trial
-  /// index) is unaffected.
-  bool heartbeat = false;
-  std::int64_t heartbeat_interval_ms = 2000;
-  /// Optional wall-clock recorder (obs/trace_events.hpp): each trial is
-  /// wrapped in a "trial" span. Non-owning; must outlive the run.
-  obs::TraceEventRecorder* recorder = nullptr;
+  /// Optional span store (obs/span.hpp): each chunk of the run is
+  /// recorded as one span — "mc.batch" per batched chunk, "mc.trial" per
+  /// sequential trial (a one-trial chunk). Non-owning; must outlive the
+  /// run.
+  obs::SpanStore* spans = nullptr;
   /// Request lineage: every span the run records (mc.trial, mc.batch,
   /// pool_task) is tagged with this id via obs::ScopedTrace, so one
   /// service request reassembles into one Chrome-trace tree. Invalid
@@ -111,6 +102,8 @@ struct McResult {
 using TrialRunner = std::function<TrialOutcome(Rng trial_rng)>;
 
 /// Generic driver: runs `runner` `config.trials` times and aggregates.
+/// Each trial is a one-trial chunk of the same chunk driver the batched
+/// engines use.
 [[nodiscard]] McResult run_trials(const TrialRunner& runner,
                                   std::uint64_t n_for_energy,
                                   const McConfig& config);

@@ -26,9 +26,10 @@
 namespace jamelect {
 
 /// Observer for pool task execution — the hook the telemetry layer
-/// (obs/trace_events.hpp) uses to time dispatched tasks. Callbacks run
-/// on the executing thread, bracketing one task (= one worker slot's
-/// chunk loop of a parallel call); they must be noexcept and cheap.
+/// (obs::PoolProfObserver, obs/prof.hpp) uses to time dispatched tasks.
+/// Callbacks run on the executing thread, bracketing one task (= one
+/// worker slot's chunk loop of a parallel call); they must be noexcept
+/// and cheap.
 class PoolTaskObserver {
  public:
   virtual ~PoolTaskObserver() = default;

@@ -483,12 +483,8 @@ TEST(BaselineKernels, StationFallbackReasonsAreLabeled) {
   reg.set_enabled(was_enabled);
   ASSERT_TRUE(snap.counters.count("mc.batch_fallback.observer"));
   ASSERT_TRUE(snap.counters.count("mc.batch_fallback.protocol"));
-  ASSERT_TRUE(snap.counters.count("mc.batch_fallback.adversary"));
   EXPECT_EQ(snap.counters.at("mc.batch_fallback.observer"), 1);
   EXPECT_EQ(snap.counters.at("mc.batch_fallback.protocol"), 1);
-  // Every built-in adversary policy has a batch engine; the .adversary
-  // label is a registered tombstone that must stay at zero.
-  EXPECT_EQ(snap.counters.at("mc.batch_fallback.adversary"), 0);
   EXPECT_EQ(snap.counters.at("mc.batch_fallbacks"), 2);
   EXPECT_GT(snap.counters.at("engine.batch.station_chunks"), 0);
   // Elections stay in lockstep to the end: wide lane-slots only.

@@ -7,7 +7,7 @@
 #include <memory>
 #include <string>
 
-#include "obs/trace_events.hpp"
+#include "obs/span.hpp"
 #include "protocols/lesk.hpp"
 #include "protocols/uniform_station.hpp"
 
@@ -141,34 +141,7 @@ TEST(MonteCarlo, UnknownPolicyThrows) {
                std::invalid_argument);
 }
 
-TEST(MonteCarlo, HeartbeatReportsButDoesNotPerturbResults) {
-  McConfig quiet;
-  quiet.trials = 30;
-  quiet.seed = 21;
-  quiet.max_slots = 100000;
-  quiet.keep_outcomes = true;
-  McConfig loud = quiet;
-  loud.heartbeat = true;
-  loud.heartbeat_interval_ms = 1;  // force in-flight lines too
-
-  ::testing::internal::CaptureStderr();
-  const auto b = run_aggregate_mc(lesk_factory(), AdversarySpec{}, 64, loud);
-  const std::string err = ::testing::internal::GetCapturedStderr();
-  const auto a = run_aggregate_mc(lesk_factory(), AdversarySpec{}, 64, quiet);
-
-  // Reproducibility contract: the heartbeat observes, never perturbs.
-  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-  for (std::size_t k = 0; k < a.outcomes.size(); ++k) {
-    ASSERT_EQ(a.outcomes[k].slots, b.outcomes[k].slots) << k;
-    ASSERT_EQ(a.outcomes[k].jams, b.outcomes[k].jams) << k;
-    ASSERT_EQ(a.outcomes[k].elected, b.outcomes[k].elected) << k;
-  }
-  // The completion line is deterministic (unlike the timing-dependent
-  // in-flight ones), so it is safe to assert on.
-  EXPECT_NE(err.find("[mc] 30/30 trials complete"), std::string::npos) << err;
-}
-
-TEST(MonteCarlo, HeartbeatOffPrintsNothing) {
+TEST(MonteCarlo, RunPrintsNothingToStderr) {
   McConfig c;
   c.trials = 5;
   c.seed = 2;
@@ -178,16 +151,35 @@ TEST(MonteCarlo, HeartbeatOffPrintsNothing) {
   EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
 }
 
-TEST(MonteCarlo, RecorderCapturesOneSpanPerTrial) {
-  obs::TraceEventRecorder rec;
+TEST(MonteCarlo, SpanStoreCapturesOneSpanPerChunk) {
   McConfig c;
   c.trials = 12;
   c.seed = 33;
   c.max_slots = 100000;
-  c.recorder = &rec;
+  // Sequential trials are one-trial chunks: one "mc.trial" span each.
+  obs::SpanStore sequential;
+  c.spans = &sequential;
   const auto res = run_aggregate_mc(lesk_factory(), AdversarySpec{}, 32, c);
   EXPECT_EQ(res.trials, 12u);
-  EXPECT_EQ(rec.size(), 12u);  // one "mc.trial" span per trial
+  const auto trial_spans = sequential.snapshot();
+  EXPECT_EQ(trial_spans.size(), 12u);
+  for (const auto& rec : trial_spans) EXPECT_STREQ(rec.name, "mc.trial");
+
+  // Batched: one "mc.batch" span per chunk of 5 (5 + 5 + 2 trials),
+  // tagged with the run's trace id.
+  obs::SpanStore batched;
+  c.spans = &batched;
+  c.batch = 5;
+  c.trace = obs::TraceId::derive(33, 5);
+  const auto batched_res =
+      run_aggregate_mc(lesk_factory(), AdversarySpec{}, 32, c);
+  EXPECT_EQ(batched_res.trials, 12u);
+  const auto chunk_spans = batched.snapshot();
+  EXPECT_EQ(chunk_spans.size(), 3u);
+  for (const auto& rec : chunk_spans) {
+    EXPECT_STREQ(rec.name, "mc.batch");
+    EXPECT_EQ(rec.trace, c.trace);
+  }
 }
 
 TEST(MonteCarlo, HybridRunnerWorks) {

@@ -2,21 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 
 #include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
-#include "obs/trace_events.hpp"
 #include "service/json.hpp"
-#include "support/thread_pool.hpp"
 
 namespace jamelect::obs {
 namespace {
@@ -141,53 +136,6 @@ TEST(Manifest, PathResolutionHonoursEnvironment) {
   EXPECT_EQ(manifest_path_for("run"), "");
   unsetenv("JAMELECT_MANIFEST");
   unsetenv("JAMELECT_MANIFEST_DIR");
-}
-
-TEST(TraceEvents, SpansProduceChromeTraceJson) {
-  TraceEventRecorder rec;
-  {
-    const auto span = rec.span("outer");
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    { const auto inner = rec.span("inner"); }
-  }
-  EXPECT_EQ(rec.size(), 2u);
-  std::ostringstream out;
-  rec.write_json(out);
-  const std::string json = out.str();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"outer\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"inner\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"dur\":"), std::string::npos);
-}
-
-TEST(TraceEvents, PoolObserverTimesDispatchedTasks) {
-  TraceEventRecorder rec;
-  ThreadPool pool(2);
-  pool.set_task_observer(&rec);
-  std::atomic<int> sum{0};
-  pool.parallel_for(64, [&](std::size_t i) {
-    sum.fetch_add(static_cast<int>(i), std::memory_order_relaxed);
-  });
-  pool.set_task_observer(nullptr);
-  EXPECT_EQ(sum.load(), 64 * 63 / 2);
-  // Every participating worker slot records exactly one task span.
-  EXPECT_GE(rec.size(), 1u);
-  std::ostringstream out;
-  rec.write_json(out);
-  EXPECT_NE(out.str().find("\"name\":\"pool_task\""), std::string::npos);
-}
-
-TEST(TraceEvents, WriteFileRoundTrips) {
-  TraceEventRecorder rec;
-  { const auto span = rec.span("s"); }
-  const std::string path = ::testing::TempDir() + "jamelect_trace_test.json";
-  ASSERT_TRUE(rec.write_file(path));
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_NE(buf.str().find("\"displayTimeUnit\""), std::string::npos);
-  std::remove(path.c_str());
 }
 
 }  // namespace

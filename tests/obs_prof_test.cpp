@@ -3,17 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "obs/span.hpp"
 #include "protocols/lesk.hpp"
 #include "sim/montecarlo.hpp"
+#include "support/thread_pool.hpp"
 
 namespace jamelect::obs {
 namespace {
@@ -83,68 +87,65 @@ TEST(TraceId, ScopedTraceIsPerThread) {
 }
 
 // ---------------------------------------------------------------------------
-// SpanRing
+// SpanStore: the bounded ring
 
-SpanRecord make_span(const char* name, std::int64_t ts) {
-  SpanRecord rec;
-  rec.name = name;
-  rec.ts_us = ts;
-  rec.dur_us = 1;
-  return rec;
+/// Records one span named `name` starting at `ts` (duration 1).
+void push(SpanStore& store, const char* name, std::int64_t ts) {
+  store.record(name, "", ts, 1);
 }
 
-TEST(SpanRing, HoldsRecordsBelowCapacity) {
-  SpanRing ring(8);
-  ring.push(make_span("a", 0));
-  ring.push(make_span("b", 1));
-  EXPECT_EQ(ring.size(), 2u);
-  EXPECT_EQ(ring.pushed(), 2u);
-  EXPECT_EQ(ring.overwritten(), 0u);
-  const auto snap = ring.snapshot();
+TEST(SpanStore, HoldsRecordsBelowCapacity) {
+  SpanStore store(8);
+  push(store, "a", 0);
+  push(store, "b", 1);
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.pushed(), 2u);
+  EXPECT_EQ(store.overwritten(), 0u);
+  const auto snap = store.snapshot();
   ASSERT_EQ(snap.size(), 2u);
   EXPECT_STREQ(snap[0].name, "a");
   EXPECT_STREQ(snap[1].name, "b");
 }
 
-TEST(SpanRing, OverflowOverwritesOldestFirst) {
-  SpanRing ring(4);
-  for (std::int64_t i = 0; i < 10; ++i) ring.push(make_span("s", i));
-  EXPECT_EQ(ring.size(), 4u);
-  EXPECT_EQ(ring.pushed(), 10u);
-  EXPECT_EQ(ring.overwritten(), 6u);
-  const auto snap = ring.snapshot();
+TEST(SpanStore, OverflowOverwritesOldestFirst) {
+  SpanStore store(4);
+  for (std::int64_t i = 0; i < 10; ++i) push(store, "s", i);
+  EXPECT_EQ(store.size(), 4u);
+  EXPECT_EQ(store.pushed(), 10u);
+  EXPECT_EQ(store.overwritten(), 6u);
+  const auto snap = store.snapshot();
   ASSERT_EQ(snap.size(), 4u);
-  // Oldest-first snapshot of the last four pushes: ts 6, 7, 8, 9.
+  // Oldest-first snapshot of the last four records: ts 6, 7, 8, 9.
   for (std::size_t i = 0; i < snap.size(); ++i) {
     EXPECT_EQ(snap[i].ts_us, static_cast<std::int64_t>(6 + i));
   }
 }
 
-TEST(SpanRing, WraparoundIsStableOverManyGenerations) {
-  SpanRing ring(3);
-  for (std::int64_t i = 0; i < 1000; ++i) ring.push(make_span("s", i));
-  EXPECT_EQ(ring.pushed(), 1000u);
-  EXPECT_EQ(ring.overwritten(), 997u);
-  const auto snap = ring.snapshot();
+TEST(SpanStore, WraparoundIsStableOverManyGenerations) {
+  SpanStore store(3);
+  for (std::int64_t i = 0; i < 1000; ++i) push(store, "s", i);
+  EXPECT_EQ(store.pushed(), 1000u);
+  EXPECT_EQ(store.overwritten(), 997u);
+  const auto snap = store.snapshot();
   ASSERT_EQ(snap.size(), 3u);
   EXPECT_EQ(snap[0].ts_us, 997);
   EXPECT_EQ(snap[2].ts_us, 999);
 }
 
-TEST(SpanRing, ClearResetsCountsAndContents) {
-  SpanRing ring(2);
-  ring.push(make_span("a", 0));
-  ring.push(make_span("b", 1));
-  ring.push(make_span("c", 2));
-  ring.clear();
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_EQ(ring.pushed(), 0u);
-  EXPECT_EQ(ring.overwritten(), 0u);
-  EXPECT_TRUE(ring.snapshot().empty());
+TEST(SpanStore, ClearResetsCountsAndContents) {
+  SpanStore store(2);
+  push(store, "a", 0);
+  push(store, "b", 1);
+  push(store, "c", 2);
+  store.clear();
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.pushed(), 0u);
+  EXPECT_EQ(store.overwritten(), 0u);
+  EXPECT_TRUE(store.snapshot().empty());
 }
 
 // ---------------------------------------------------------------------------
-// Span JSON / FlightRecorder
+// SpanStore: the NDJSON writer
 
 TEST(SpanJson, EmitsAllFieldsAndOmitsEmptyOnes) {
   SpanRecord rec;
@@ -173,13 +174,13 @@ TEST(SpanJson, EmitsAllFieldsAndOmitsEmptyOnes) {
   EXPECT_EQ(bare_line.find("\"trace\""), std::string::npos);
 }
 
-TEST(FlightRecorder, WriteNdjsonEmitsSpansThenSummary) {
-  FlightRecorder flight(8);
+TEST(SpanStore, WriteNdjsonEmitsSpansThenSummary) {
+  SpanStore store(8);
   const ScopedTrace scoped(TraceId::derive(21, 42));
-  flight.record("svc.admission", "admission", 0, 5);
-  flight.record("svc.compute", "compute", 5, 100);
+  store.record("svc.admission", "admission", 0, 5);
+  store.record("svc.compute", "compute", 5, 100);
   std::ostringstream out;
-  flight.write_ndjson(out);
+  store.write_ndjson(out);
   const std::string text = out.str();
   // Two span lines then the flight summary, newline-terminated.
   EXPECT_NE(text.find("\"ev\":\"span\""), std::string::npos);
@@ -194,10 +195,10 @@ TEST(FlightRecorder, WriteNdjsonEmitsSpansThenSummary) {
   EXPECT_EQ(text.back(), '\n');
 }
 
-TEST(FlightRecorder, DumpWritesTimestampedFile) {
-  FlightRecorder flight(4);
-  flight.record("dump_me", "", 0, 1);
-  const std::string path = flight.dump("/tmp/jamelect-flight-test");
+TEST(SpanStore, DumpWritesTimestampedFile) {
+  SpanStore store(4);
+  store.record("dump_me", "", 0, 1);
+  const std::string path = store.dump("/tmp/jamelect-flight-test");
   ASSERT_FALSE(path.empty());
   EXPECT_EQ(path.rfind("/tmp/jamelect-flight-test-", 0), 0u);
   EXPECT_NE(path.find(".ndjson"), std::string::npos);
@@ -205,6 +206,166 @@ TEST(FlightRecorder, DumpWritesTimestampedFile) {
   ASSERT_NE(fh, nullptr);
   std::fclose(fh);
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// SpanStore: the Chrome trace writer
+
+TEST(SpanStore, SpansProduceChromeTraceJson) {
+  SpanStore store;
+  const std::int64_t outer0 = store.now_us();
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  store.record("inner", "", store.now_us(), 0);
+  store.record("outer", "compute", outer0, store.now_us() - outer0,
+               TraceId::derive(3, 4));
+  EXPECT_EQ(store.size(), 2u);
+  std::ostringstream out;
+  store.write_chrome_json(out);
+  const std::string json = out.str();
+  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"outer\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"inner\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(json.find("\"dur\":"), std::string::npos);
+  EXPECT_NE(json.find("\"args\":{\"trace\":\"" + TraceId::derive(3, 4).hex() +
+                      "\",\"phase\":\"compute\"}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"otherData\":{\"pushed\":2,\"overwritten\":0,"
+                      "\"capacity\":4096}"),
+            std::string::npos);
+}
+
+TEST(SpanStore, PoolObserverTimesDispatchedTasks) {
+  SpanStore store;
+  PoolProfObserver observer(&store);
+  ThreadPool pool(2);
+  pool.set_task_observer(&observer);
+  std::atomic<int> sum{0};
+  pool.parallel_for(64, [&](std::size_t i) {
+    sum.fetch_add(static_cast<int>(i), std::memory_order_relaxed);
+  });
+  pool.set_task_observer(nullptr);
+  EXPECT_EQ(sum.load(), 64 * 63 / 2);
+  // Every participating worker slot records exactly one task span.
+  const auto snap = store.snapshot();
+  ASSERT_GE(snap.size(), 1u);
+  ASSERT_LE(snap.size(), 3u);
+  for (const SpanRecord& rec : snap) EXPECT_STREQ(rec.name, "pool_task");
+}
+
+TEST(SpanStore, WriteChromeFileRoundTrips) {
+  SpanStore store;
+  store.record("s", "", 0, 1);
+  const std::string path = ::testing::TempDir() + "jamelect_trace_test.json";
+  ASSERT_TRUE(store.write_chrome_file(path));
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  EXPECT_NE(buf.str().find("\"displayTimeUnit\""), std::string::npos);
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// SpanStore: both writers over one store
+
+/// Field `key`'s integer value in `text` after position `from`.
+std::uint64_t field_after(const std::string& text, const std::string& key,
+                          std::size_t from = 0) {
+  const std::size_t at = text.find("\"" + key + "\":", from);
+  EXPECT_NE(at, std::string::npos) << key;
+  if (at == std::string::npos) return 0;
+  return std::stoull(text.substr(at + key.size() + 3));
+}
+
+/// Values of every `"key":<int>` field in `text`, in order.
+std::vector<std::int64_t> all_fields(const std::string& text,
+                                     const std::string& key) {
+  std::vector<std::int64_t> out;
+  const std::string needle = "\"" + key + "\":";
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    out.push_back(std::stoll(text.substr(at + needle.size())));
+  }
+  return out;
+}
+
+TEST(SpanStore, WrappedStoreWritersAgree) {
+  SpanStore store(5);
+  for (std::int64_t i = 0; i < 23; ++i) {
+    store.record(i % 2 == 0 ? "even" : "odd", "", 100 + i, i);
+  }
+  std::ostringstream nd;
+  store.write_ndjson(nd);
+  std::ostringstream chrome;
+  store.write_chrome_json(chrome);
+  const std::string ndjson = nd.str();
+  const std::string trace = chrome.str();
+
+  // The same five held records, oldest first, in both writers.
+  const std::vector<std::int64_t> held_ts = {118, 119, 120, 121, 122};
+  EXPECT_EQ(all_fields(ndjson, "ts_us"), held_ts);
+  EXPECT_EQ(all_fields(trace, "ts"), held_ts);
+  EXPECT_EQ(all_fields(ndjson, "dur_us"), all_fields(trace, "dur"));
+  EXPECT_EQ(all_fields(ndjson, "tid"), all_fields(trace, "tid"));
+
+  // And the same loss accounting: 23 pushed, 18 overwritten.
+  const std::size_t summary = ndjson.find("\"ev\":\"flight\"");
+  ASSERT_NE(summary, std::string::npos);
+  EXPECT_EQ(field_after(ndjson, "pushed", summary), 23u);
+  EXPECT_EQ(field_after(ndjson, "overwritten", summary), 18u);
+  EXPECT_EQ(field_after(trace, "pushed"), 23u);
+  EXPECT_EQ(field_after(trace, "overwritten"), 18u);
+  EXPECT_EQ(field_after(trace, "capacity"), 5u);
+}
+
+TEST(SpanStore, ConcurrentWritersRaceSnapshotAndDump) {
+  constexpr std::size_t kCapacity = 64;
+  constexpr int kWriters = 4;
+  constexpr std::int64_t kPerWriter = 2000;
+  SpanStore store(kCapacity);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&store, &go, w] {
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      const ScopedTrace scoped(TraceId::derive(w, 0));
+      for (std::int64_t i = 0; i < kPerWriter; ++i) {
+        store.record("race", "compute", i, w);
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  // The reader races the writers: every view it takes must be a
+  // consistent one (held + overwritten == pushed, the ring never above
+  // capacity, every held record whole).
+  for (int round = 0; round < 50; ++round) {
+    std::ostringstream nd;
+    store.write_ndjson(nd);
+    const std::string text = nd.str();
+    const std::size_t summary = text.find("\"ev\":\"flight\"");
+    ASSERT_NE(summary, std::string::npos);
+    const std::uint64_t pushed = field_after(text, "pushed", summary);
+    const std::uint64_t lost = field_after(text, "overwritten", summary);
+    const auto held = static_cast<std::uint64_t>(
+        std::count(text.begin(), text.end(), '\n') - 1);
+    EXPECT_LE(held, kCapacity);
+    EXPECT_EQ(held + lost, pushed);
+    std::ostringstream chrome;
+    store.write_chrome_json(chrome);
+    EXPECT_LE(all_fields(chrome.str(), "ts").size(), kCapacity);
+    for (const SpanRecord& rec : store.snapshot()) {
+      EXPECT_STREQ(rec.name, "race");
+      EXPECT_STREQ(rec.phase, "compute");
+      EXPECT_EQ(rec.trace, TraceId::derive(static_cast<std::uint64_t>(
+                                               rec.dur_us),
+                                           0));
+    }
+  }
+  for (auto& t : writers) t.join();
+  EXPECT_EQ(store.pushed(), kWriters * kPerWriter);
+  EXPECT_EQ(store.size(), kCapacity);
+  EXPECT_EQ(store.overwritten(), kWriters * kPerWriter - kCapacity);
 }
 
 // ---------------------------------------------------------------------------

@@ -16,15 +16,17 @@
 // --port=0 binds an ephemeral port; the chosen port is printed on the
 // "jamelectd listening on" line, which scripts/service_smoke.sh parses.
 //
-// Observability:
-//  * --trace=PATH records every request's phase spans (admission,
-//    queue_wait, compute incl. per-worker MC chunk spans, serialize,
-//    respond) tagged with the request's trace id, plus thread-pool
-//    task/idle spans, and writes one Chrome-trace JSON at exit.
-//  * A flight recorder (bounded ring of recent spans, --flight-capacity)
-//    is always on; SIGUSR1 dumps it to `<--flight prefix>-<utc>-<seq>
-//    .ndjson` without stopping the daemon, and an abnormal drain (any
-//    failed jobs at shutdown) dumps it automatically.
+// Observability: one bounded span store (--flight-capacity records,
+// oldest overwritten first) is always on.
+//  * Every request's phase spans (admission, cache_probe, queue_wait,
+//    compute, serialize, respond) land in it, tagged with the request's
+//    trace id. SIGUSR1 dumps it as NDJSON to `<--flight prefix>-<utc>-
+//    <seq>.ndjson` without stopping the daemon, and an abnormal drain
+//    (any failed jobs at shutdown) dumps it automatically.
+//  * --trace=PATH also records the per-worker MC chunk spans and the
+//    thread-pool task spans, and writes the store as one Chrome-trace
+//    JSON at exit. Its `otherData` carries the overwritten count, so a
+//    trace longer than the store says it was truncated.
 //
 // Flags are checked before anything starts: a malformed value, or one
 // outside its range (--workers in [1, 64], --port at most 65535,
@@ -44,7 +46,6 @@
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
 #include "obs/span.hpp"
-#include "obs/trace_events.hpp"
 #include "service/server.hpp"
 #include "service/service.hpp"
 #include "sim/batch.hpp"
@@ -55,12 +56,12 @@
 namespace {
 
 // Caps on the flags that size threads and buffers, so a typo cannot
-// start thousands of workers or reserve gigabytes of flight ring.
+// start thousands of workers or reserve gigabytes of span store.
 constexpr std::uint64_t kMaxWorkers = 64;
 constexpr std::uint64_t kMaxFlightCapacity = 1 << 20;
 constexpr std::uint64_t kMaxHeartbeatMs = 3'600'000;
 
-// SIGUSR1 => dump the flight recorder. The handler only sets a flag
+// SIGUSR1 => dump the span store. The handler only sets a flag
 // (async-signal-safe); the main loop does the I/O.
 volatile std::sig_atomic_t g_dump_requested = 0;
 
@@ -117,22 +118,18 @@ int main(int argc, char** argv) {
     std::cerr << "jamelectd: warning: cannot install SIGUSR1 handler\n";
   }
 
-  // Flight recorder: always on — it is the post-hoc "what was the
-  // daemon doing" story and costs one short lock per request phase.
+  // Span store: always on — it is the post-hoc "what was the daemon
+  // doing" story and costs one short lock per request phase. --trace
+  // adds the MC chunk and pool task spans to it.
   const std::string flight_prefix =
       cli.get_string("flight", "jamelectd-flight");
-  obs::FlightRecorder flight(flight_capacity);
-  svc_cfg.flight = &flight;
-
-  // Chrome-trace recorder: opt-in (unbounded growth — meant for
-  // bounded profiling sessions, not long-lived daemons).
+  obs::SpanStore spans(flight_capacity);
+  svc_cfg.spans = &spans;
   const std::string trace_path = cli.get_string("trace", "");
-  obs::TraceEventRecorder recorder;
-  obs::PoolProfObserver pool_obs(&recorder);
+  obs::PoolProfObserver pool_obs(&spans);
   if (!trace_path.empty()) {
-    svc_cfg.recorder = &recorder;
-    svc_cfg.runner.recorder = &recorder;
-    // One attachment gives pool_task spans in the trace AND idle /
+    svc_cfg.runner.spans = &spans;
+    // One attachment gives pool_task spans in the store AND idle /
     // caller-wait scheduling phases in the profiler.
     global_pool().set_task_observer(&pool_obs);
   }
@@ -153,7 +150,7 @@ int main(int argc, char** argv) {
   while (!shutdown_requested()) {
     if (g_dump_requested != 0) {
       g_dump_requested = 0;
-      const std::string path = flight.dump(flight_prefix);
+      const std::string path = spans.dump(flight_prefix);
       std::cout << "jamelectd: SIGUSR1 flight dump "
                 << (path.empty() ? "FAILED" : path) << std::endl;
     }
@@ -170,7 +167,7 @@ int main(int argc, char** argv) {
   server.stop();
   if (!trace_path.empty()) global_pool().set_task_observer(nullptr);
 
-  // Abnormal drain — jobs failed (or died queued): dump the flight ring
+  // Abnormal drain — jobs failed (or died queued): dump the span store
   // so the last moments are on disk next to the manifest.
   const obs::MetricsSnapshot snap =
       obs::MetricsRegistry::global().aggregate();
@@ -180,13 +177,13 @@ int main(int argc, char** argv) {
     failed = it->second;
   }
   if (failed > 0 || queued_at_drain > 0) {
-    const std::string path = flight.dump(flight_prefix);
+    const std::string path = spans.dump(flight_prefix);
     std::cout << "jamelectd: abnormal drain (" << failed << " failed, "
               << queued_at_drain << " queued), flight dump "
               << (path.empty() ? "FAILED" : path) << std::endl;
   }
 
-  if (!trace_path.empty() && !recorder.write_file(trace_path)) {
+  if (!trace_path.empty() && !spans.write_chrome_file(trace_path)) {
     std::cerr << "jamelectd: cannot write trace " << trace_path << "\n";
   }
 
@@ -225,9 +222,8 @@ int main(int argc, char** argv) {
   const MemoStats memo = memo_stats();
   manifest.config["memo_bytes"] = std::to_string(memo.peak_bytes);
   manifest.config["memo_evictions"] = std::to_string(memo.evictions);
-  manifest.config["flight_pushed"] = std::to_string(flight.ring().pushed());
-  manifest.config["flight_overwritten"] =
-      std::to_string(flight.ring().overwritten());
+  manifest.config["flight_pushed"] = std::to_string(spans.pushed());
+  manifest.config["flight_overwritten"] = std::to_string(spans.overwritten());
   const std::string path = obs::manifest_path_for(manifest.name);
   if (!path.empty() && !manifest.write_file(path)) {
     std::cerr << "jamelectd: cannot write manifest " << path << "\n";
