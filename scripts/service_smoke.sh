@@ -7,7 +7,9 @@
 #   1. start jamelectd on an ephemeral port, disk cache in a temp dir;
 #   2. replay a mixed loadgen trace (hot-config skew), asserting the
 #      cache actually hits;
-#   3. repeat the trace against the warm disk cache after a restart;
+#   3. check the drained cache directory (16 envelopes, no temp file),
+#      damage two envelopes, and repeat the trace against the warm disk
+#      cache after a restart: both are rejected, the rest still hit;
 #   4. SIGTERM the daemon mid-sweep and assert it drains and exits 0;
 #   5. run a traced daemon (--trace, --flight-capacity): a SIGUSR1 dump
 #      passes scripts/validate_events.py, and the Chrome trace written at
@@ -54,9 +56,40 @@ start_daemon
 
 echo "== warm restart (disk cache only, hit rate ~1.0)"
 kill -TERM "$DPID"; wait "$DPID"
+# Stores are written behind the reply; the SIGTERM drain must have put
+# every config's envelope on disk, and no temp file may be left.
+ENVELOPES=$(find "$WORK/cache" -name '*.result.json' | wc -l)
+TEMPS=$(find "$WORK/cache" -name '*.tmp' | wc -l)
+if [ "$ENVELOPES" -ne 16 ] || [ "$TEMPS" -ne 0 ]; then
+  ls -l "$WORK/cache"
+  echo "cache holds $ENVELOPES envelopes and $TEMPS temp files (want 16, 0)"
+  exit 1
+fi
+# Damage two envelopes: the restarted daemon must reject both (a miss
+# each, recomputed) and still serve the rest from disk.
+python3 - "$WORK/cache" <<'PYEOF'
+import glob, os, sys
+envelopes = glob.glob(os.path.join(sys.argv[1], "*", "*.result.json"))
+first, second = sorted(envelopes)[:2]
+data = open(first, "rb").read()
+open(first, "wb").write(data[: len(data) // 2])
+data = bytearray(open(second, "rb").read())
+data[-5] ^= 0x01  # inside the result, which ends at data[-3]
+open(second, "wb").write(bytes(data))
+PYEOF
 start_daemon
 "$LOADGEN" --port="$PORT" --requests=2000 --concurrency=8 --configs=16 \
   --hot-frac=0.9 --trials=32 --max-slots=20000 --min-hit-rate=0.99
+python3 - "$PORT" <<'PYEOF'
+import json, socket, sys
+s = socket.create_connection(("127.0.0.1", int(sys.argv[1])))
+s.sendall(b'{"op":"metrics"}\n')
+counters = json.loads(s.makefile().readline())["metrics"]["counters"]
+disk = {k: v for k, v in counters.items() if k.startswith("svc.cache_disk")}
+print("restart disk tier:", disk)
+assert disk.get("svc.cache_disk_rejects") == 2, disk
+assert disk.get("svc.cache_disk_write_failures") == 0, disk
+PYEOF
 
 echo "== kill mid-sweep drains and exits 0"
 # A heavy sweep (fire-and-forget) occupies a worker, then SIGTERM lands

@@ -67,23 +67,30 @@ std::string canonical_number(double value) {
   return buf;
 }
 
-std::string config_fingerprint(
-    const std::map<std::string, std::string>& config) {
-  const std::string canon = canonical_config_json(config);
-  // FNV-1a, two independent 64-bit lanes (distinct offset bases) for a
-  // 128-bit key: collisions across a cache of millions of configs are
-  // ~2^-64 likely — comfortably below any operational concern.
+Fnv128Hex fnv128_hex(std::string_view bytes) noexcept {
+  // Two independent 64-bit lanes (distinct offset bases) for a 128-bit
+  // hash: collisions across a cache of millions of configs are ~2^-64
+  // likely — comfortably below any operational concern.
   std::uint64_t h1 = 0xcbf29ce484222325ULL;
   std::uint64_t h2 = 0x84222325cbf29ce4ULL;
-  for (const unsigned char c : canon) {
+  for (const char ch : bytes) {
+    const auto c = static_cast<unsigned char>(ch);
     h1 = (h1 ^ c) * 0x100000001b3ULL;
     h2 = (h2 ^ c) * 0x100000001b3ULL;
   }
-  char buf[33];
-  std::snprintf(buf, sizeof buf, "%016llx%016llx",
-                static_cast<unsigned long long>(h1),
-                static_cast<unsigned long long>(h2));
-  return buf;
+  static constexpr char kHex[] = "0123456789abcdef";
+  Fnv128Hex out;
+  for (int i = 0; i < 16; ++i) {
+    out[15 - i] = kHex[(h1 >> (4 * i)) & 0xf];
+    out[31 - i] = kHex[(h2 >> (4 * i)) & 0xf];
+  }
+  return out;
+}
+
+std::string config_fingerprint(
+    const std::map<std::string, std::string>& config) {
+  const Fnv128Hex hex = fnv128_hex(canonical_config_json(config));
+  return std::string(hex.data(), hex.size());
 }
 
 std::string RunManifest::to_json() const {

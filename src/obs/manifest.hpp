@@ -14,9 +14,11 @@
 // Schema: docs/OBSERVABILITY.md §Manifests.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace jamelect::obs {
 
@@ -61,7 +63,13 @@ struct RunManifest {
 /// 0.5 serializes identically no matter which code path formatted it.
 [[nodiscard]] std::string canonical_number(double value);
 
-/// 128-bit FNV-1a of canonical_config_json(config), hex-encoded
+/// 128-bit FNV-1a of `bytes` as 32 hex chars: two independent 64-bit
+/// lanes (distinct offset bases). The config fingerprint and the
+/// result-cache envelope checksum both use it.
+using Fnv128Hex = std::array<char, 32>;
+[[nodiscard]] Fnv128Hex fnv128_hex(std::string_view bytes) noexcept;
+
+/// fnv128_hex of canonical_config_json(config), hex-encoded
 /// (32 chars). Deterministic across processes, platforms and field
 /// insertion orders — the manifest-keyed result cache key.
 [[nodiscard]] std::string config_fingerprint(

@@ -359,6 +359,9 @@ void SweepService::stop() {
   queue_cv_.notify_all();
   for (std::thread& w : workers) w.join();
   done_cv_.notify_all();
+  // Every accepted result is on disk before stop() returns, so a
+  // manifest written next finds the cache directory complete.
+  cache_.drain();
 }
 
 std::size_t SweepService::queue_depth() const {

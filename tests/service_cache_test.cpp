@@ -1,16 +1,26 @@
 // SweepService + ResultCache behaviour: cache hits are bit-identical
 // to fresh computation, the disk tier survives "restarts" (a new cache
-// over the same directory), the bounded queue rejects when full, and
-// identical in-flight requests coalesce onto one job.
+// over the same directory) and turns every damaged envelope into a
+// miss, write-behind stores are served before they land and drained on
+// destruction, the bounded queue rejects when full, and identical
+// in-flight requests coalesce onto one job.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "service/json.hpp"
 #include "service/result_cache.hpp"
 #include "service/service.hpp"
@@ -132,6 +142,267 @@ TEST(ResultCache, DiskTierServesEvictedKeysAndRepromotes) {
   const auto hit2 = cache.lookup("cc02");
   ASSERT_TRUE(hit2.has_value());
   EXPECT_EQ(*hit2, "{\"r\":2}");
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// Where the cache keeps `key`'s envelope: a shard directory named by
+/// the key's first two hex digits.
+std::string envelope_path(const std::string& dir, const std::string& key) {
+  return dir + "/" + key.substr(0, 2) + "/" + key + ".result.json";
+}
+
+std::size_t tmp_files(const std::string& dir) {
+  std::size_t count = 0;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (entry.path().extension() == ".tmp") ++count;
+  }
+  return count;
+}
+
+TEST(ResultCacheDisk, EnvelopeIsOneJsonLineWithTheResultLast) {
+  const TempDir dir("envelope");
+  const std::string result = R"({"success":{"rate":0.25},"trials":8})";
+  { ResultCache(dir.str()).store("ee01", R"({"n":8})", result); }
+  const std::string bytes = read_file(envelope_path(dir.str(), "ee01"));
+  ASSERT_EQ(bytes.find('\n'), bytes.size() - 1);
+  EXPECT_EQ(bytes.substr(bytes.size() - result.size() - 2), result + "}\n");
+  const auto envelope = Json::parse(bytes);
+  ASSERT_TRUE(envelope.has_value());
+  EXPECT_EQ(envelope->find("key")->as_string(), "ee01");
+  EXPECT_EQ(envelope->find("result_bytes")->as_int(),
+            static_cast<std::int64_t>(result.size()));
+  EXPECT_EQ(envelope->find("result_fnv")->as_string().size(), 32u);
+  EXPECT_EQ(envelope->find("request")->dump(), R"({"n":8})");
+  EXPECT_EQ(envelope->find("result")->dump(), result);
+}
+
+/// Every damaged form of a written envelope is a miss (counted as a
+/// reject when a file was there to read), after which a store and a
+/// lookup serve the exact bytes again.
+TEST(ResultCacheDisk, DamagedEnvelopesAreMissesAndStoresHeal) {
+  const TempDir dir("damaged");
+  const std::string key = "ff01";
+  const std::string request = R"({"n":128,"seed":5})";
+  const std::string result =
+      R"({"slots":{"mean":12.5,"p90":31},"success":{"rate":0.75},"trials":16})";
+  const std::string path = envelope_path(dir.str(), key);
+  { ResultCache(dir.str()).store(key, request, result); }
+  const std::string good = read_file(path);
+  const std::size_t fnv_at = good.find("\"result_fnv\":\"");
+  const std::size_t result_at = good.size() - 2 - result.size();
+  ASSERT_NE(fnv_at, std::string::npos);
+
+  struct Damage {
+    std::string name;
+    std::string bytes;  ///< written as the final file
+    bool rejected;      ///< a file was read and failed a check
+  };
+  std::vector<Damage> cases;
+  for (const std::size_t at :
+       {std::size_t{0}, std::size_t{1}, fnv_at + 20, result_at - 3,
+        result_at + 1, result_at + result.size() / 2, good.size() - 2,
+        good.size() - 1}) {
+    cases.push_back({"truncated at " + std::to_string(at), good.substr(0, at),
+                     true});
+  }
+  std::string flipped = good;
+  flipped[result_at + result.find("0.75") + 2] ^= 0x01;  // 0.75 -> 0.65
+  cases.push_back({"one result byte flipped", flipped, true});
+  std::string unclosed = good;
+  unclosed[good.size() - 2] = ' ';  // the result is intact, the line is not
+  cases.push_back({"envelope brace dropped", unclosed, true});
+  std::string foreign = good;
+  foreign.replace(good.find(key), key.size(), "ff02");
+  cases.push_back({"another key", foreign, true});
+  cases.push_back({"pre-checksum envelope",
+                   "{\"key\":\"" + key + "\",\"request\":" + request +
+                       ",\"result\":" + result + "}\n",
+                   true});
+  cases.push_back({"empty", "", true});
+
+  const auto check_heals = [&](const std::string& name, bool rejected) {
+    SCOPED_TRACE(name);
+    ResultCache cache(dir.str());
+    EXPECT_FALSE(cache.lookup(key).has_value());
+    EXPECT_EQ(cache.disk_rejects(), rejected ? 1u : 0u);
+    EXPECT_EQ(cache.disk_hits(), 0u);
+    // A known-bad envelope is not read again, even once it is mended
+    // behind the cache's back; a store of the key lifts that.
+    EXPECT_FALSE(cache.lookup(key).has_value());
+    EXPECT_EQ(cache.disk_rejects(), rejected ? 1u : 0u);
+    if (rejected) {
+      write_file(path, good);
+      EXPECT_FALSE(cache.lookup(key).has_value());
+    }
+    cache.store(key, request, result);
+    EXPECT_EQ(cache.lookup(key), result);
+    cache.drain();
+    EXPECT_EQ(read_file(path), good);
+    EXPECT_EQ(ResultCache(dir.str()).lookup(key), result);
+  };
+  for (const Damage& damage : cases) {
+    write_file(path, damage.bytes);
+    check_heals(damage.name, damage.rejected);
+  }
+  // A torn write: only the temp file made it, the rename never ran.
+  fs::remove(path);
+  write_file(path + ".tmp", good);
+  check_heals("temp file beside a missing envelope", false);
+  EXPECT_EQ(tmp_files(dir.str()), 0u);
+}
+
+TEST(ResultCacheDisk, EvictedKeyWithItsWriteStillQueuedHits) {
+  const TempDir dir("pending");
+  // A FIFO at the first key's temp path holds the writer in open()
+  // until this test opens the read end, so that write cannot land.
+  const std::string fifo = envelope_path(dir.str(), "ab01") + ".tmp";
+  fs::create_directories(fs::path(fifo).parent_path());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  ResultCache cache(dir.str(), /*max_entries=*/1);
+  cache.store("ab01", "null", R"({"r":1})");
+  cache.store("ab02", "null", R"({"r":2})");  // evicts ab01 from memory
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(cache.lookup("ab01"), R"({"r":1})");  // from the pending write
+  EXPECT_EQ(cache.lookup("ab02"), R"({"r":2})");
+  EXPECT_EQ(cache.evictions(), 3u);
+  EXPECT_EQ(cache.disk_hits(), 0u);
+  EXPECT_EQ(cache.disk_rejects(), 0u);
+
+  const int fd = ::open(fifo.c_str(), O_RDONLY | O_NONBLOCK);
+  ASSERT_GE(fd, 0);
+  cache.drain();
+  std::string written(256, '\0');
+  const ssize_t got = ::read(fd, written.data(), written.size());
+  ::close(fd);
+  ASSERT_GT(got, 0);
+  written.resize(static_cast<std::size_t>(got));
+  EXPECT_EQ(written.rfind("{\"key\":\"ab01\",", 0), 0u) << written;
+  // The FIFO was renamed over the envelope's name: a reader must
+  // neither block on it nor serve it.
+  ResultCache reborn(dir.str());
+  EXPECT_FALSE(reborn.lookup("ab01").has_value());
+  EXPECT_EQ(reborn.disk_rejects(), 1u);
+  EXPECT_EQ(reborn.lookup("ab02"), R"({"r":2})");
+  EXPECT_EQ(reborn.disk_hits(), 1u);
+}
+
+TEST(ResultCacheDisk, DestructionDrainsEveryQueuedWrite) {
+  const TempDir dir("drain");
+  constexpr int kKeys = 200;
+  const auto key = [](int i) {
+    char buf[8];
+    std::snprintf(buf, sizeof buf, "c%03x", i);
+    return std::string(buf);
+  };
+  const auto value = [](int i) {
+    return "{\"r\":" + std::to_string(i) + ",\"pad\":\"" +
+           std::string(static_cast<std::size_t>(i), 'x') + "\"}";
+  };
+  {
+    ResultCache cache(dir.str(), /*max_entries=*/8);
+    for (int i = 0; i < kKeys; ++i) cache.store(key(i), "null", value(i));
+  }
+  EXPECT_EQ(tmp_files(dir.str()), 0u);
+  ResultCache reborn(dir.str());
+  for (int i = 0; i < kKeys; ++i) EXPECT_EQ(reborn.lookup(key(i)), value(i));
+  EXPECT_EQ(reborn.disk_hits(), static_cast<std::uint64_t>(kKeys));
+  EXPECT_EQ(reborn.disk_rejects(), 0u);
+}
+
+TEST(ResultCacheDisk, RacingLookupsStoresAndEvictionsServeExactBytes) {
+  const TempDir dir("race");
+  constexpr int kKeys = 32;
+  std::vector<std::string> keys, values;
+  for (int i = 0; i < kKeys; ++i) {
+    char buf[8];
+    std::snprintf(buf, sizeof buf, "d%03x", i);
+    keys.emplace_back(buf);
+    values.push_back("{\"r\":" + std::to_string(i * 7919) + "}");
+  }
+  // The first half is on disk before the race; the second half is
+  // stored during it. A 4-entry memory tier evicts all the time.
+  {
+    ResultCache seed(dir.str());
+    for (int i = 0; i < kKeys / 2; ++i) seed.store(keys[i], "null", values[i]);
+  }
+  ResultCache cache(dir.str(), /*max_entries=*/4);
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 50; ++round) {
+        for (int j = 0; j < kKeys; ++j) {
+          const int i = (j * 5 + t * 3 + round) % kKeys;
+          if (t < 2 && i >= kKeys / 2) {
+            cache.store(keys[i], "null", values[i]);
+            // A stored key never misses, written to disk yet or not.
+            if (cache.lookup(keys[i]) != values[i]) ++wrong;
+            continue;
+          }
+          const auto hit = cache.lookup(keys[i]);
+          if (i < kKeys / 2 ? hit != values[i]
+                            : hit.has_value() && *hit != values[i]) {
+            ++wrong;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  cache.drain();
+  EXPECT_EQ(cache.disk_rejects(), 0u);
+  EXPECT_EQ(cache.disk_write_failures(), 0u);
+  ResultCache reborn(dir.str());
+  for (int i = 0; i < kKeys; ++i) EXPECT_EQ(reborn.lookup(keys[i]), values[i]);
+}
+
+std::int64_t counter_value(const std::string& name) {
+  const auto snap = obs::MetricsRegistry::global().aggregate();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+TEST(ResultCacheDisk, UnwritableDirectoryCountsFailuresAndServesMemory) {
+  // The cache path is a regular file, so neither the directory nor any
+  // envelope can be created (permissions would not stop a root user).
+  const TempDir dir("unwritable");
+  fs::create_directories(dir.str());
+  const std::string file = dir.str() + "/not_a_dir";
+  write_file(file, "x");
+  const std::int64_t before = counter_value("svc.cache_disk_write_failures");
+  ResultCache cache(file, /*max_entries=*/1);
+  cache.store("aa01", "null", R"({"r":1})");
+  cache.store("aa02", "null", R"({"r":2})");
+  cache.drain();
+  EXPECT_EQ(cache.disk_write_failures(), 2u);
+  EXPECT_EQ(counter_value("svc.cache_disk_write_failures"), before + 2);
+  EXPECT_EQ(cache.lookup("aa02"), R"({"r":2})");  // memory still serves
+  EXPECT_FALSE(cache.lookup("aa01").has_value());  // evicted, not on disk
+  EXPECT_EQ(cache.disk_rejects(), 0u);
+  EXPECT_EQ(read_file(file), "x");
+}
+
+TEST(SweepServiceCache, MetricsCarryTheDiskCountersFromTheStart) {
+  ServiceConfig config;
+  config.workers = 1;
+  const SweepService service(config);
+  const Json metrics = service.metrics_json();
+  const Json* counters = metrics.find("counters");
+  ASSERT_NE(counters, nullptr);
+  for (const char* name :
+       {"svc.cache_disk_hits", "svc.cache_disk_rejects",
+        "svc.cache_disk_write_failures", "svc.cache_evictions"}) {
+    EXPECT_NE(counters->find(name), nullptr) << name;
+  }
 }
 
 TEST(SweepRequestKeying, BatchIsNotPartOfTheCacheKey) {

@@ -12,6 +12,7 @@
 #include <memory>
 #include <thread>
 
+#include "obs/span.hpp"
 #include "protocols/lesk.hpp"
 #include "sim/montecarlo.hpp"
 #include "support/shutdown.hpp"
@@ -75,12 +76,21 @@ TEST(Shutdown, MidRunDrainKeepsCompletedTrialsConsistent) {
   // run (per-trial determinism: trial k seeds from mix64(seed, k)).
   McConfig config = small_config(20'000);
   config.keep_outcomes = true;
-  std::thread killer([] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  // The shutdown lands once a first trial has completed (each
+  // sequential trial records one mc.trial span), not on a timer: a
+  // slow build may spend any fixed delay before its first trial.
+  obs::SpanStore spans;
+  config.spans = &spans;
+  std::atomic<bool> finished{false};
+  std::thread killer([&spans, &finished] {
+    while (spans.pushed() == 0 && !finished.load()) {
+      std::this_thread::yield();
+    }
     request_shutdown();
   });
   const McResult partial =
       run_aggregate_mc(lesk_factory(), AdversarySpec{}, 256, config);
+  finished.store(true);
   killer.join();
   clear_shutdown();
 

@@ -199,6 +199,12 @@ int main(int argc, char** argv) {
   manifest.config["cache_max_bytes"] = std::to_string(svc_cfg.cache_max_bytes);
   manifest.config["cache_evictions"] =
       std::to_string(service.cache().evictions());
+  manifest.config["cache_disk_hits"] =
+      std::to_string(service.cache().disk_hits());
+  manifest.config["cache_disk_rejects"] =
+      std::to_string(service.cache().disk_rejects());
+  manifest.config["cache_disk_write_failures"] =
+      std::to_string(service.cache().disk_write_failures());
   manifest.config["requests"] = std::to_string(service.requests());
   manifest.config["cache_hits"] = std::to_string(service.cache_hits());
   manifest.config["computed"] = std::to_string(service.computed());
